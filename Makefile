@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-all smoke-bench test-metrics check-planner cover check
+.PHONY: all build test vet race bench bench-all smoke-bench test-metrics check-planner cover loc check
 
 all: check
 
@@ -119,6 +119,13 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 	@echo "per-package:"
 	@$(GO) test -cover ./... 2>/dev/null | grep -v 'no test files' | awk '{print "  " $$2 "\t" $$5}'
+
+# Go line counts of the root module (perfbench/ is a separate module):
+# non-test sources and _test.go files, the figures CHANGES.md and ROADMAP.md
+# quote.
+loc:
+	@find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l | awk '{print "non-test Go LOC: " $$1}'
+	@find . -path ./perfbench -prune -o -name '*_test.go' -print | xargs cat | wc -l | awk '{print "test Go LOC:     " $$1}'
 
 # The full verification gate: compile everything, vet, run the suite with
 # the race detector (all collectives and the ft subsystem exercise real

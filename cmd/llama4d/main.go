@@ -791,7 +791,7 @@ func balanceStudy() {
 
 	// Modeled CP shard skew of the batch's worst zigzag sample: the planner's
 	// per-document layout vs the fixed zigzag.
-	zig := cp.ZigzagRagged(cp.NewSharding(base.Seq, base.Topo.CP))
+	zig := cp.Zigzag(base.Seq, base.Topo.CP)
 	worstZig, worst := 0.0, 0
 	for i, s := range bSrc.Samples {
 		if z := engine.ShardSkew(zig.Pos, attention.DocStarts(s.DocIDs), base.Seq); z > worstZig {

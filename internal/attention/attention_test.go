@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"llama4d/internal/tensor"
 )
@@ -133,34 +132,24 @@ func TestDocumentMaskBlocksCrossDocAttention(t *testing.T) {
 	}
 }
 
-// streamedForward streams key blocks of size blockSize through
-// PartialForwardInto/MergeInPlace and finalises in place — the
-// Flash-Attention-V2 structure the retired FlashForward implemented, kept
-// here so the block-merge path retains full equivalence coverage against
-// Forward (whose blocked engine is now the single streamed implementation).
+// streamedForward streams key blocks of size blockSize through StreamScores
+// in ascending order and completes the head with StreamFinish — the
+// block-by-block path context-parallel attention takes as K/V arrives — so
+// it keeps full equivalence coverage against the one-shot Forward.
 func streamedForward(q, k, v *tensor.Tensor, m Mask, qPos []int, blockSize int) *tensor.Tensor {
 	sk := k.Rows()
 	if blockSize <= 0 {
 		blockSize = sk
 	}
-	var acc, scratch *Partial
+	g := BuildGrid(m, qPos, 0, sk)
+	s := tensor.Get(q.Rows(), sk)
 	for off := 0; off < sk; off += blockSize {
-		end := off + blockSize
-		if end > sk {
-			end = sk
-		}
-		if acc == nil {
-			acc = PartialForward(q, k.RowSlice(off, end), v.RowSlice(off, end), m, qPos, off)
-			continue
-		}
-		scratch = PartialForwardInto(scratch, q, k.RowSlice(off, end), v.RowSlice(off, end), m, qPos, off)
-		MergeInPlace(acc, scratch)
+		end := min(off+blockSize, sk)
+		StreamScores(s, q, k.RowSlice(off, end), 0, 0, off, end-off, g)
 	}
-	ReleasePartial(scratch)
-	if acc == nil {
-		return tensor.New(q.Rows(), q.Cols())
-	}
-	return FinalizeInPlace(acc)
+	out := StreamFinish(s, v, m, qPos, g, nil)
+	tensor.Put(out.P)
+	return out.O
 }
 
 func TestStreamedMatchesForward(t *testing.T) {
@@ -185,45 +174,6 @@ func TestStreamedMatchesForwardDocumentMask(t *testing.T) {
 		if d := tensor.MaxDiff(naive, flash); d > 1e-5 {
 			t.Fatalf("doc mask, block %d: diff %v", bs, d)
 		}
-	}
-}
-
-func TestMergeCommutative(t *testing.T) {
-	q, k, v := randQKV(6, 8, 16, 4)
-	pa := PartialForward(q, k.RowSlice(0, 8), v.RowSlice(0, 8), Causal{}, Iota(8), 0)
-	pb := PartialForward(q, k.RowSlice(8, 16), v.RowSlice(8, 16), Causal{}, Iota(8), 8)
-	ab := Finalize(Merge(pa, pb))
-	ba := Finalize(Merge(pb, pa))
-	if d := tensor.MaxDiff(ab, ba); d > 1e-5 {
-		t.Fatalf("merge not commutative: %v", d)
-	}
-}
-
-func TestMergeAssociativeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		q, k, v := randQKV(seed, 6, 12, 4)
-		var parts []*Partial
-		for i := 0; i < 3; i++ {
-			parts = append(parts, PartialForward(q, k.RowSlice(i*4, i*4+4), v.RowSlice(i*4, i*4+4), Causal{}, Iota(6), i*4))
-		}
-		left := Finalize(Merge(Merge(parts[0], parts[1]), parts[2]))
-		right := Finalize(Merge(parts[0], Merge(parts[1], parts[2])))
-		return tensor.MaxDiff(left, right) < 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergeWithEmptyBlockIsNeutral(t *testing.T) {
-	q, k, v := randQKV(7, 4, 4, 4)
-	full := PartialForward(q, k, v, Causal{}, Iota(4), 0)
-	// A block whose keys are all in the future is fully masked for all rows.
-	empty := PartialForward(q, k, v, Causal{}, Iota(4), 100)
-	merged := Finalize(Merge(full, empty))
-	want := Finalize(full)
-	if d := tensor.MaxDiff(merged, want); d > 1e-6 {
-		t.Fatalf("neutral merge changed result by %v", d)
 	}
 }
 

@@ -42,10 +42,11 @@ var (
 	tileCols       = defaultTileCols
 )
 
-// SetBlocked toggles the blocked engine for Forward, Backward and
-// PartialForwardInto; off means the dense reference kernels run. Returns the
-// previous setting. Blocked and dense are bitwise identical, so the toggle
-// exists for benchmarking and property tests, not correctness.
+// SetBlocked toggles the blocked engine for Forward and Backward; off means
+// the dense reference kernels run (and context-parallel attention gathers
+// K/V whole instead of streaming it). Returns the previous setting. Blocked
+// and dense are bitwise identical, so the toggle exists for benchmarking and
+// property tests, not correctness.
 func SetBlocked(on bool) bool {
 	prev := blockedEnabled
 	blockedEnabled = on
@@ -259,7 +260,7 @@ func BuildGridFromStarts(qPos []int, starts []int, kOff, sk int) *Grid {
 
 // Stats is the blocked engine's cumulative work accounting: one Calls
 // increment plus the underlying grid's pair/tile counts per engine
-// invocation (Forward, Backward, or PartialForwardInto). Like the tensor
+// invocation (Forward, Backward, or StreamFinish). Like the tensor
 // FLOP counters it is world-global; internal/metrics attributes it to steps
 // via StatsSnapshot deltas.
 type Stats struct {
@@ -318,7 +319,7 @@ var (
 )
 
 // StatsSnapshot returns the cumulative blocked-engine stats since process
-// start (or the last ResetStats).
+// start.
 func StatsSnapshot() Stats {
 	return Stats{
 		Calls:        statCalls.Load(),
@@ -329,17 +330,6 @@ func StatsSnapshot() Stats {
 		PartialTiles: statPartialTiles.Load(),
 		EmptyTiles:   statEmptyTiles.Load(),
 	}
-}
-
-// ResetStats zeroes the cumulative blocked-engine stats.
-func ResetStats() {
-	statCalls.Store(0)
-	statTotalPairs.Store(0)
-	statAllowedPairs.Store(0)
-	statEmptyPairs.Store(0)
-	statFullTiles.Store(0)
-	statPartialTiles.Store(0)
-	statEmptyTiles.Store(0)
 }
 
 func recordGrid(g *Grid) {
@@ -797,100 +787,5 @@ func blockedSoftmaxBackwardRows(dS, p, dP *tensor.Tensor, g *Grid, lo, hi int) {
 				dsi[j] = pi[j] * (dpi[j] - dot)
 			}
 		}
-	}
-}
-
-// blockedPartialInto is the blocked engine behind PartialForwardInto: the
-// score sweep and the online-softmax accumulation both touch only non-empty
-// tiles. The dense sweep already skips masked keys per element, so tile
-// skipping drops exactly the per-element checks — the M/L statistics and
-// the unnormalised output match bit for bit.
-func blockedPartialInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
-	sq, d := q.Rows(), q.Cols()
-	sk := k.Rows()
-	scale := float32(1 / math.Sqrt(float64(d)))
-	g := BuildGrid(m, qPos, kOff, sk)
-	recordGrid(g)
-	tensor.CountMatMulFLOPs(sq, d, sk, effFLOPs(g, d))
-	s := tensor.GetUninit(sq, sk)
-	out = preparePartial(out, sq, d)
-	body := func(lo, hi int) {
-		blockedScoreRows(s, q, k, g, lo, hi)
-		blockedPartialSweepRows(out, s, v, m, qPos, kOff, g, scale, lo, hi)
-	}
-	if workers := tensor.Workers(sq, 2*sweptWork(g, d)); workers <= 1 {
-		body(0, sq)
-	} else {
-		tensor.ParallelRows(sq, workers, body)
-	}
-	tensor.Put(s)
-	return out
-}
-
-// blockedPartialSweepRows is partialSweepRows restricted to non-empty tiles:
-// full tiles scale/exp/accumulate with no mask checks, partial tiles keep
-// the hoisted RowMask, empty tiles contribute nothing — exactly the keys the
-// dense sweep's per-element check skips.
-func blockedPartialSweepRows(out *Partial, s, v *tensor.Tensor, m Mask, qPos []int, kOff int, g *Grid, scale float32, lo, hi int) {
-	sk, d := s.Cols(), v.Cols()
-	negInf := float32(math.Inf(-1))
-	var allowed []bool
-	for i := lo; i < hi; i++ {
-		rt := i / g.TileRows
-		row := s.Row(i)
-		kinds := g.Kinds[rt*g.NCols : (rt+1)*g.NCols]
-		needMask := false
-		for _, kind := range kinds {
-			if kind == TilePartial {
-				needMask = true
-				break
-			}
-		}
-		if needMask {
-			if allowed == nil {
-				allowed = make([]bool, sk)
-			}
-			RowMask(m, qPos[i], kOff, allowed)
-		}
-		maxv := negInf
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
-			}
-			c0, c1 := g.colBand(ct)
-			for j := c0; j < c1; j++ {
-				if kind == TileFull || allowed[j] {
-					row[j] *= scale
-					if row[j] > maxv {
-						maxv = row[j]
-					}
-				}
-			}
-		}
-		out.M[i] = maxv
-		out.L[i] = 0
-		if math.IsInf(float64(maxv), -1) {
-			continue
-		}
-		oi := out.O.Row(i)
-		var l float32
-		for ct, kind := range kinds {
-			if kind == TileEmpty {
-				continue
-			}
-			c0, c1 := g.colBand(ct)
-			for j := c0; j < c1; j++ {
-				if kind != TileFull && !allowed[j] {
-					continue
-				}
-				e := float32(math.Exp(float64(row[j] - maxv)))
-				l += e
-				vj := v.Row(j)
-				for c := 0; c < d; c++ {
-					oi[c] += e * vj[c]
-				}
-			}
-		}
-		out.L[i] = l
 	}
 }

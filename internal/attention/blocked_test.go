@@ -2,17 +2,16 @@ package attention
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"llama4d/internal/tensor"
 )
 
-// checkBlockedVsDense asserts the blocked engine's three kernels (Forward,
-// Backward, PartialForwardInto) are bitwise identical to the dense reference
-// on one (mask, qPos, kOff) configuration — the §6.2 determinism contract the
-// tile-skipping optimisation must preserve.
+// checkBlockedVsDense asserts the blocked engine's Forward and Backward are
+// bitwise identical to the dense reference on one (mask, qPos, kOff)
+// configuration — the §6.2 determinism contract the tile-skipping
+// optimisation must preserve.
 func checkBlockedVsDense(t *testing.T, label string, seed int64, sq, sk, d int, m Mask, qPos []int, kOff int) {
 	t.Helper()
 	q, k, v := randQKV(seed, sq, sk, d)
@@ -38,20 +37,6 @@ func checkBlockedVsDense(t *testing.T, label string, seed int64, sq, sk, d int, 
 	if !tensor.BitwiseEqual(wdv, gdv) {
 		t.Fatalf("%s: blocked dV differs from dense", label)
 	}
-
-	want := DensePartialForwardInto(nil, q, k, v, m, qPos, kOff)
-	got := PartialForwardInto(nil, q, k, v, m, qPos, kOff)
-	if !tensor.BitwiseEqual(want.O, got.O) {
-		t.Fatalf("%s: blocked partial O differs from dense", label)
-	}
-	for i := range want.M {
-		if math.Float32bits(want.M[i]) != math.Float32bits(got.M[i]) ||
-			math.Float32bits(want.L[i]) != math.Float32bits(got.L[i]) {
-			t.Fatalf("%s: blocked partial stats differ from dense at row %d", label, i)
-		}
-	}
-	ReleasePartial(want)
-	ReleasePartial(got)
 }
 
 // TestBlockedMatchesDenseGrid is the bitwise property grid of the blocked
@@ -59,8 +44,7 @@ func checkBlockedVsDense(t *testing.T, label string, seed int64, sq, sk, d int, 
 // forced onto the conservative all-partial path) × sequence lengths
 // straddling the tile size (1, block−1, block, block+1, odd > 2 blocks) ×
 // key offsets {0, +3, −3} × four tilings including rectangular tiles. Each
-// point checks forward, backward, and the ring-attention partial kernel
-// bitwise against the dense references.
+// point checks forward and backward bitwise against the dense references.
 func TestBlockedMatchesDenseGrid(t *testing.T) {
 	const d = 8
 	prevOn := SetBlocked(true)
@@ -249,21 +233,6 @@ func TestBlockedFLOPAndStatsAccounting(t *testing.T) {
 	}
 	if got, want := tensor.EffectiveFLOPCount(), nominalBwd-4*2*int64(d)*g.EmptyPairs; got != want {
 		t.Fatalf("backward effective FLOPs %d, want %d", got, want)
-	}
-
-	tensor.ResetFLOPCount()
-	s1 := StatsSnapshot()
-	p := PartialForwardInto(nil, q, k, v, m, qPos, 0)
-	ReleasePartial(p)
-	nominalPart := int64(2 * sq * sk * d) // the scores matmul; the dense partial's PV sweep is uncounted
-	if got := tensor.FLOPCount(); got != nominalPart {
-		t.Fatalf("partial nominal FLOPs %d, want %d", got, nominalPart)
-	}
-	if got, want := tensor.EffectiveFLOPCount(), nominalPart-2*int64(d)*g.EmptyPairs; got != want {
-		t.Fatalf("partial effective FLOPs %d, want %d", got, want)
-	}
-	if delta := StatsSnapshot().Sub(s1); delta.Calls != 1 {
-		t.Fatalf("partial recorded %d calls, want 1", delta.Calls)
 	}
 	tensor.ResetFLOPCount()
 }

@@ -157,216 +157,3 @@ func softmaxBackwardRows(dS, p, dP *tensor.Tensor, lo, hi int) {
 		}
 	}
 }
-
-// Partial is the result of attending a block of keys: an unnormalised output
-// plus per-query-row softmax statistics (running max m and sum l), in the
-// log-sum-exp form flash attention and ring attention use to merge partial
-// results across blocks (the "scaling and rescaling" of §4).
-type Partial struct {
-	O *tensor.Tensor // [sq, d]; rows scaled by their block-local softmax
-	M []float32      // per-row running max of masked logits
-	L []float32      // per-row sum of exp(logit - M)
-}
-
-// PartialForward computes flash-style attention of q against one key block.
-// Rows with no allowed keys get M = -Inf, L = 0, O = 0 and merge as neutral
-// elements.
-func PartialForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
-	return PartialForwardInto(nil, q, k, v, m, qPos, kOff)
-}
-
-// PartialForwardInto is the buffer-reusing variant of PartialForward: a
-// non-nil out (of matching query count and head dim) is overwritten and
-// returned, recycling its O tensor and M/L slices — one key block after
-// another can stream through the same scratch Partial (ring attention). A
-// nil out allocates a fresh Partial from the tensor pool.
-//
-// Like Forward it runs the blocked engine unless SetBlocked(false); the
-// per-row online-softmax sweep is row-parallel above the FLOP threshold and
-// rows are independent, so neither the worker split nor the tile skipping
-// ever changes bits.
-func PartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
-	checkShapes(q, k, v, qPos)
-	if blockedEnabled {
-		return blockedPartialInto(out, q, k, v, m, qPos, kOff)
-	}
-	return DensePartialForwardInto(out, q, k, v, m, qPos, kOff)
-}
-
-// DensePartialForwardInto is the dense reference partial kernel (oracle and
-// benchmark baseline for the blocked one).
-func DensePartialForwardInto(out *Partial, q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
-	checkShapes(q, k, v, qPos)
-	sq, d := q.Rows(), q.Cols()
-	sk := k.Rows()
-	scale := float32(1 / math.Sqrt(float64(d)))
-	s := tensor.MatMulT(q, k)
-	out = preparePartial(out, sq, d)
-	if workers := tensor.Workers(sq, sq*sk*d); workers <= 1 {
-		partialSweepRows(out, s, v, m, qPos, kOff, scale, 0, sq)
-	} else {
-		tensor.ParallelRows(sq, workers, func(lo, hi int) {
-			partialSweepRows(out, s, v, m, qPos, kOff, scale, lo, hi)
-		})
-	}
-	tensor.Put(s)
-	return out
-}
-
-// preparePartial returns out ready to accumulate an [sq, d] partial: a nil
-// out allocates from the tensor pool, an existing one has its O zeroed (or
-// reallocated on shape change) and its M/L slices resized.
-func preparePartial(out *Partial, sq, d int) *Partial {
-	if out == nil {
-		return &Partial{O: tensor.Get(sq, d), M: make([]float32, sq), L: make([]float32, sq)}
-	}
-	if out.O == nil || out.O.Rows() != sq || out.O.Cols() != d {
-		tensor.Put(out.O)
-		out.O = tensor.Get(sq, d)
-	} else {
-		out.O.Zero()
-	}
-	if cap(out.M) < sq {
-		out.M = make([]float32, sq)
-		out.L = make([]float32, sq)
-	}
-	out.M = out.M[:sq]
-	out.L = out.L[:sq]
-	return out
-}
-
-// partialSweepRows runs the online-softmax accumulation for query rows
-// [lo, hi): mask, scale, row max, exp-weights into out.O with per-row M/L
-// statistics. Rows are independent, so worker splits never change bits.
-func partialSweepRows(out *Partial, s, v *tensor.Tensor, m Mask, qPos []int, kOff int, scale float32, lo, hi int) {
-	sk, d := s.Cols(), v.Cols()
-	allowed := make([]bool, sk)
-	negInf := float32(math.Inf(-1))
-	for i := lo; i < hi; i++ {
-		RowMask(m, qPos[i], kOff, allowed)
-		row := s.Row(i)
-		maxv := negInf
-		for j := 0; j < sk; j++ {
-			if allowed[j] {
-				row[j] *= scale
-				if row[j] > maxv {
-					maxv = row[j]
-				}
-			}
-		}
-		out.M[i] = maxv
-		out.L[i] = 0
-		if math.IsInf(float64(maxv), -1) {
-			continue
-		}
-		oi := out.O.Row(i)
-		var l float32
-		for j := 0; j < sk; j++ {
-			if !allowed[j] {
-				continue
-			}
-			e := float32(math.Exp(float64(row[j] - maxv)))
-			l += e
-			vj := v.Row(j)
-			for c := 0; c < d; c++ {
-				oi[c] += e * vj[c]
-			}
-		}
-		out.L[i] = l
-	}
-}
-
-// ReleasePartial retires p's output buffer into the tensor pool. The caller
-// must hold no references to p.O afterwards.
-func ReleasePartial(p *Partial) {
-	if p == nil {
-		return
-	}
-	tensor.Put(p.O)
-	p.O = nil
-}
-
-// Merge combines two partials over disjoint key blocks into one partial over
-// their union, using log-sum-exp rescaling. It is associative and
-// commutative up to floating-point rounding.
-func Merge(a, b *Partial) *Partial {
-	sq, d := a.O.Rows(), a.O.Cols()
-	out := &Partial{O: tensor.Get(sq, d), M: make([]float32, sq), L: make([]float32, sq)}
-	mergeRows(out, a, b)
-	return out
-}
-
-// MergeInPlace merges b into acc (acc ← Merge(acc, b)) without allocating:
-// the in-place variant block-streaming merges use so every block merge stops
-// costing one [sq, d] tensor. Bitwise identical to Merge because each output
-// row depends only on the same row of the two inputs.
-func MergeInPlace(acc, b *Partial) {
-	mergeRows(acc, acc, b)
-}
-
-func mergeRows(out, a, b *Partial) {
-	sq, d := a.O.Rows(), a.O.Cols()
-	for i := 0; i < sq; i++ {
-		ma, mb := a.M[i], b.M[i]
-		m := ma
-		if mb > m {
-			m = mb
-		}
-		out.M[i] = m
-		if math.IsInf(float64(m), -1) {
-			out.L[i] = 0
-			if out != a {
-				oi := out.O.Row(i)
-				for c := 0; c < d; c++ {
-					oi[c] = 0
-				}
-			}
-			continue
-		}
-		wa, wb := float32(0), float32(0)
-		if !math.IsInf(float64(ma), -1) {
-			wa = float32(math.Exp(float64(ma - m)))
-		}
-		if !math.IsInf(float64(mb), -1) {
-			wb = float32(math.Exp(float64(mb - m)))
-		}
-		out.L[i] = wa*a.L[i] + wb*b.L[i]
-		oa, ob, oo := a.O.Row(i), b.O.Row(i), out.O.Row(i)
-		for c := 0; c < d; c++ {
-			oo[c] = wa*oa[c] + wb*ob[c]
-		}
-	}
-}
-
-// Finalize normalises a partial into a FRESH attention output: O[i] /= L[i].
-// Rows with L == 0 (no allowed keys) stay zero. The partial is unchanged;
-// use FinalizeInPlace when the partial's buffer can be consumed.
-func Finalize(p *Partial) *tensor.Tensor {
-	out := p.O.Clone()
-	finalizeRows(out, p.L)
-	return out
-}
-
-// FinalizeInPlace normalises the partial's own output buffer and returns it,
-// consuming the partial: p.O aliases the result and the partial must not be
-// merged afterwards. This removes the [sq, d] clone per block merge that
-// Finalize pays.
-func FinalizeInPlace(p *Partial) *tensor.Tensor {
-	out := p.O
-	p.O = nil
-	finalizeRows(out, p.L)
-	return out
-}
-
-func finalizeRows(out *tensor.Tensor, l []float32) {
-	for i := 0; i < out.Rows(); i++ {
-		if l[i] == 0 {
-			continue
-		}
-		inv := 1 / l[i]
-		oi := out.Row(i)
-		for c := range oi {
-			oi[c] *= inv
-		}
-	}
-}

@@ -1,109 +1,11 @@
 package attention
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"llama4d/internal/tensor"
 )
-
-// seedPartialForward is a frozen copy of the pre-overhaul kernel: seed
-// single-accumulator MatMulT, per-element interface-dispatched mask calls in
-// the score loop, and fresh allocations for every buffer. The live kernel is
-// benchmarked against it under impl=before / impl=after in make bench.
-func seedPartialForward(q, k, v *tensor.Tensor, m Mask, qPos []int, kOff int) *Partial {
-	sq, d := q.Rows(), q.Cols()
-	sk := k.Rows()
-	scale := float32(1 / math.Sqrt(float64(d)))
-	s := seedMatMulT(q, k)
-	out := &Partial{O: tensor.New(sq, d), M: make([]float32, sq), L: make([]float32, sq)}
-	for i := 0; i < sq; i++ {
-		row := s.Row(i)
-		maxv := float32(math.Inf(-1))
-		for j := 0; j < sk; j++ {
-			if m.Allowed(qPos[i], kOff+j) {
-				row[j] *= scale
-				if row[j] > maxv {
-					maxv = row[j]
-				}
-			} else {
-				row[j] = float32(math.Inf(-1))
-			}
-		}
-		out.M[i] = maxv
-		if math.IsInf(float64(maxv), -1) {
-			continue
-		}
-		oi := out.O.Row(i)
-		var l float32
-		for j := 0; j < sk; j++ {
-			if math.IsInf(float64(row[j]), -1) {
-				continue
-			}
-			e := float32(math.Exp(float64(row[j] - maxv)))
-			l += e
-			vj := v.Row(j)
-			for c := 0; c < d; c++ {
-				oi[c] += e * vj[c]
-			}
-		}
-		out.L[i] = l
-	}
-	return out
-}
-
-func seedMatMulT(a, b *tensor.Tensor) *tensor.Tensor {
-	m, k := a.Rows(), a.Cols()
-	n := b.Rows()
-	out := tensor.New(m, n)
-	for i := 0; i < m; i++ {
-		ai := a.Data[i*k : (i+1)*k]
-		oi := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b.Data[j*k : (j+1)*k]
-			var s float32
-			for p := range ai {
-				s += ai[p] * bj[p]
-			}
-			oi[j] = s
-		}
-	}
-	return out
-}
-
-// BenchmarkKernelPartialForward runs the flash-style partial kernel on one
-// 256-key block at head dim 64, under the paper's document mask — the shape
-// and mask a CP rank sees per head. impl=after streams through a reused
-// scratch Partial the way ring attention does.
-func BenchmarkKernelPartialForward(b *testing.B) {
-	const sq, sk, d = 256, 256, 64
-	q, k, v := randQKV(77, sq, sk, d)
-	m := Document{DocID: DocIDsFromLengths([]int{100, 77, 200}, 512)}
-	qPos := Iota(sq)
-
-	// Both variants visit allowed keys in the same order with the same
-	// scaling, so the partials must agree bitwise, not just approximately.
-	before := seedPartialForward(q, k, v, m, qPos, 0)
-	after := PartialForward(q, k, v, m, qPos, 0)
-	if !tensor.BitwiseEqual(before.O, after.O) {
-		b.Fatal("impl=before and impl=after disagree")
-	}
-	ReleasePartial(after)
-
-	b.Run("impl=before", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			seedPartialForward(q, k, v, m, qPos, 0)
-		}
-	})
-	b.Run("impl=after", func(b *testing.B) {
-		var scratch *Partial
-		for i := 0; i < b.N; i++ {
-			scratch = PartialForwardInto(scratch, q, k, v, m, qPos, 0)
-		}
-		ReleasePartial(scratch)
-	})
-}
 
 // BenchmarkKernelBlockedForward measures the mask-structured blocked engine
 // against the dense reference on a document-masked 512-key head — the

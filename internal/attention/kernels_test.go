@@ -1,8 +1,6 @@
 package attention
 
 import (
-	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -89,117 +87,7 @@ func TestForwardRowSliceBitwise(t *testing.T) {
 	}
 }
 
-// TestPartialForwardRowSliceBitwise is the same split-invariance property for
-// the online-softmax partial kernel.
-func TestPartialForwardRowSliceBitwise(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	const sq, sk, d = 320, 256, 64
-	q, k, v := randQKV(202, sq, sk, d)
-	m := Causal{}
-	qPos := Iota(sq)
-	full := PartialForward(q, k, v, m, qPos, 0)
-	for lo := 0; lo < sq; lo += 63 {
-		hi := lo + 63
-		if hi > sq {
-			hi = sq
-		}
-		part := PartialForward(q.RowSlice(lo, hi), k, v, m, qPos[lo:hi], 0)
-		if !tensor.BitwiseEqual(part.O, full.O.RowSlice(lo, hi)) {
-			t.Fatalf("rows [%d,%d): parallel partial O differs from serial slice", lo, hi)
-		}
-		for i := lo; i < hi; i++ {
-			if part.M[i-lo] != full.M[i] || part.L[i-lo] != full.L[i] {
-				t.Fatalf("row %d: stats (M,L)=(%v,%v) vs serial (%v,%v)",
-					i, full.M[i], full.L[i], part.M[i-lo], part.L[i-lo])
-			}
-		}
-	}
-}
-
-// TestPartialForwardIntoReuseBitwise streams mismatched-then-matching shapes
-// through one scratch Partial and checks the reuse path is indistinguishable
-// from fresh allocations.
-func TestPartialForwardIntoReuseBitwise(t *testing.T) {
-	m := Causal{}
-	q1, k1, v1 := randQKV(303, 24, 16, 8)
-	q2, k2, v2 := randQKV(304, 10, 12, 8) // different sq and sk
-
-	want1 := PartialForward(q1, k1, v1, m, Iota(24), 0)
-	want2 := PartialForward(q2, k2, v2, m, Iota(10), 0)
-
-	scratch := PartialForwardInto(nil, q1, k1, v1, m, Iota(24), 0)
-	checkPartialEqual(t, "fresh", scratch, want1)
-	scratch = PartialForwardInto(scratch, q2, k2, v2, m, Iota(10), 0) // shrink
-	checkPartialEqual(t, "shrunk reuse", scratch, want2)
-	scratch = PartialForwardInto(scratch, q1, k1, v1, m, Iota(24), 0) // regrow
-	checkPartialEqual(t, "regrown reuse", scratch, want1)
-	ReleasePartial(scratch)
-}
-
-func checkPartialEqual(t *testing.T, label string, got, want *Partial) {
-	t.Helper()
-	if !tensor.BitwiseEqual(got.O, want.O) {
-		t.Fatalf("%s: O differs", label)
-	}
-	for i := range want.M {
-		if got.M[i] != want.M[i] || got.L[i] != want.L[i] {
-			t.Fatalf("%s: stats differ at row %d", label, i)
-		}
-	}
-}
-
-// TestMergeInPlaceMatchesMerge covers the allocation-free merge against the
-// fresh-output version, including rows that are fully masked (-Inf max) in
-// one or both inputs — the case whose zero-write MergeInPlace elides.
-func TestMergeInPlaceMatchesMerge(t *testing.T) {
-	const sq, d = 16, 8
-	rng := rand.New(rand.NewSource(404))
-	mkPartial := func(maskedRows ...int) *Partial {
-		p := &Partial{
-			O: tensor.RandN(rng, 1, sq, d),
-			M: make([]float32, sq),
-			L: make([]float32, sq),
-		}
-		for i := 0; i < sq; i++ {
-			p.M[i] = rng.Float32() * 3
-			p.L[i] = rng.Float32() + 0.5
-		}
-		for _, i := range maskedRows {
-			p.M[i] = float32(math.Inf(-1))
-			p.L[i] = 0
-			row := p.O.Row(i)
-			for c := range row {
-				row[c] = 0 // PartialForward leaves masked rows zero
-			}
-		}
-		return p
-	}
-	a := mkPartial(2, 5, 9)
-	b := mkPartial(5, 11)
-
-	want := Merge(a, b)
-	acc := &Partial{O: a.O.Clone(), M: append([]float32(nil), a.M...), L: append([]float32(nil), a.L...)}
-	MergeInPlace(acc, b)
-	checkPartialEqual(t, "MergeInPlace", acc, want)
-}
-
-func TestFinalizeInPlaceMatchesFinalize(t *testing.T) {
-	q, k, v := randQKV(505, 12, 12, 8)
-	m := Causal{}
-	p1 := PartialForward(q, k, v, m, Iota(12), 0)
-	want := Finalize(p1)
-	got := FinalizeInPlace(p1)
-	if !tensor.BitwiseEqual(got, want) {
-		t.Fatal("FinalizeInPlace differs from Finalize")
-	}
-	if p1.O != nil {
-		t.Fatal("FinalizeInPlace must consume the partial's buffer")
-	}
-}
-
-// TestStreamedForwardParallelBitwise checks the streamed block-merge path
+// TestStreamedForwardParallelBitwise checks the streamed block path
 // and the blocked Forward engine stay deterministic when their inner kernels
 // dispatch to goroutines: the same inputs at serial (GOMAXPROCS=1) and
 // parallel (GOMAXPROCS=4) settings must produce identical bits for every

@@ -1,8 +1,8 @@
 // Package attention implements the attention kernels of the reproduction:
-// a naive masked-attention oracle with an exact backward pass, a flash-style
-// online-softmax kernel producing log-sum-exp statistics, and the
-// partial-result merging rule that ring attention (the paper's CP baseline,
-// §4/§7.2) relies on.
+// a dense masked-attention oracle with an exact backward pass, the
+// mask-structured blocked engine that skips empty score tiles bitwise
+// invisibly, and the streamed variant that fills a head's score plane block
+// by block as context-parallel K/V arrives (§4/§7.2).
 //
 // All kernels operate on a single head: Q is [sq, d], K and V are [sk, d].
 // Query rows carry explicit global positions so that context-parallel ranks,

@@ -59,14 +59,6 @@ func Mul(a, b float32) float32 {
 	return Round(a * b)
 }
 
-// RoundSlice rounds every element of xs in place and returns xs.
-func RoundSlice(xs []float32) []float32 {
-	for i, x := range xs {
-		xs[i] = Round(x)
-	}
-	return xs
-}
-
 // SumBF16 accumulates xs with a BF16 accumulator: every partial sum is
 // rounded to BF16. This models a (hypothetical) low-precision reduction and
 // is the worst case the paper's FP32-accumulation recommendation avoids.

@@ -64,7 +64,7 @@ type Config struct {
 	// ShardPlanner, when set and CP > 1, chooses a per-sample CP row
 	// partition (e.g. balance.PlanShards over the sample's document starts)
 	// instead of the fixed zigzag sharding. The returned shards must exactly
-	// partition 0..Seq-1 (cp.NewRaggedSharding validates). Per-row attention
+	// partition 0..Seq-1 (cp.NewLayout validates). Per-row attention
 	// outputs are bitwise independent of the layout — only cross-rank
 	// reduction grouping moves — so the planner trades nothing but skew.
 	ShardPlanner func(s *model.Sample, cpSize int) [][]int
@@ -84,18 +84,24 @@ type Config struct {
 	CPCost *cost.Model
 }
 
-// cpCostModel resolves the CP pricing model (CPCost or the calibrated
-// default).
-func (c Config) cpCostModel() cost.Model {
+// CPCostModel resolves the CP pricing model (CPCost or the calibrated
+// default), shared with xval's closed-form predictions and the planner.
+func (c Config) CPCostModel() cost.Model {
 	if c.CPCost != nil {
 		return *c.CPCost
 	}
 	return cpCost
 }
 
-// CPCostModel is the exported face of cpCostModel, shared with xval's
-// closed-form predictions and the planner.
-func (c Config) CPCostModel() cost.Model { return c.cpCostModel() }
+// CPLayout returns the CP row partition of sample s: the ShardPlanner's
+// shards when one is set, the 2×cp zigzag otherwise. The trainer and xval's
+// predictions both call it, so they never disagree on who owns a row.
+func (c Config) CPLayout(s *model.Sample) cp.Layout {
+	if c.ShardPlanner != nil {
+		return cp.NewLayout(c.Seq, c.ShardPlanner(s, c.Topo.CP))
+	}
+	return cp.Zigzag(c.Seq, c.Topo.CP)
+}
 
 // OverlapConfig enables comm–compute overlap in the functional layer. Each
 // knob moves one class of collectives from blocking to handle-based issue;
@@ -168,7 +174,6 @@ type Rank struct {
 	Shard *fsdp.Sharded
 	Opt   *optim.AdamW
 
-	cpShard cp.Sharding
 	cluster *Cluster
 }
 
@@ -267,9 +272,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		r.Exec.RecvAhead = cfg.Overlap.P2P
 		r.Exec.AsyncSend = cfg.Overlap.P2P > 0
-		if cfg.Topo.CP > 1 {
-			r.cpShard = cp.NewSharding(cfg.Seq, cfg.Topo.CP)
-		}
 		cl.Ranks = append(cl.Ranks, r)
 	}
 	return cl, nil
@@ -361,29 +363,7 @@ func (r *Rank) buildMicrobatches(src data.Batcher, step int64) []*pp.Microbatch 
 			totalValid := validTargets(full.Targets)
 
 			if cfg.Topo.CP > 1 {
-				var local *model.Sample
-				var env *model.Env
-				var layout cp.Layout
-				if cfg.ShardPlanner != nil {
-					rs := cp.NewRaggedSharding(cfg.Seq, cfg.ShardPlanner(full, cfg.Topo.CP))
-					local = cp.RaggedLocalSample(rs, full, r.Groups.CP.LocalRank(r.ID))
-					env = cp.RaggedEnv(rs, mask, r.Groups.CP, r.ID)
-					layout = rs
-				} else {
-					local = cp.LocalSample(r.cpShard, full, r.Groups.CP.LocalRank(r.ID))
-					env = cp.Env(r.cpShard, mask, r.Groups.CP, r.ID)
-					layout = r.cpShard
-				}
-				if cfg.CPStrategy != cp.StrategyAllGather {
-					// Ring/adaptive exchange: every CP rank derives the same
-					// per-document plan and tag namespace from the sample's
-					// schedule slot, so the ring needs no coordination.
-					plan := cp.PlanFor(cfg.CPStrategy, cfg.cpCostModel(), r.Groups.CP.Ranks(), cfg.Seq,
-						full.DocIDs, cfg.UseDocMask,
-						cfg.Model.NHeads/cfg.Topo.TP, cfg.Model.NKVHeads/cfg.Topo.TP, cfg.Model.HeadDim())
-					env.KV = cp.NewStrategyKV(layout, plan, r.Groups.CP, r.cluster.World, r.ID,
-						cp.RingTagBase(i*mbsSamples+j))
-				}
+				local, env := r.cpSample(full, mask, i*mbsSamples+j)
 				localValid := validTargets(local.Targets)
 				env.Rec = rec
 				mb.Samples = append(mb.Samples, local)
@@ -407,6 +387,21 @@ func (r *Rank) buildMicrobatches(src data.Batcher, step int64) []*pp.Microbatch 
 		mbs[i] = mb
 	}
 	return mbs
+}
+
+// cpSample carves this rank's CP shard out of a full-sequence sample and
+// builds its attention environment: layout → per-document exchange plan →
+// StrategyKV env, the same for every CP strategy. Every CP rank derives the
+// identical layout, plan and tag namespace (from the sample's schedule slot),
+// so the exchange needs no coordination.
+func (r *Rank) cpSample(full *model.Sample, mask attention.Mask, slot int) (*model.Sample, *model.Env) {
+	cfg := r.cluster.Cfg
+	g := r.Groups.CP
+	layout := cfg.CPLayout(full)
+	plan := cp.PlanFor(cfg.CPStrategy, cfg.CPCostModel(), g.Ranks(), cfg.Seq, full.DocIDs, cfg.UseDocMask,
+		cfg.Model.NHeads/cfg.Topo.TP, cfg.Model.NKVHeads/cfg.Topo.TP, cfg.Model.HeadDim())
+	env := cp.StrategyEnv(layout, plan, mask, g, r.cluster.World, r.ID, cp.RingTagBase(slot))
+	return cp.LocalSample(layout, full, g.LocalRank(r.ID)), env
 }
 
 func validTargets(ts []int) int {

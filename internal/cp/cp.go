@@ -1,21 +1,25 @@
 // Package cp implements the paper's context parallelism (§4): the input
-// sequence is split along its length across a CP group, attention all-gathers
-// the key/value tensors (fully exposed communication, by design), and every
-// rank evaluates the attention mask in global coordinates — which is what
-// makes irregular document masks work where ring-style tiling is error-prone.
+// sequence is split along its length across a CP group, attention exchanges
+// the key/value tensors, and every rank evaluates the attention mask in
+// global coordinates — which is what makes irregular document masks work
+// where ring-style tiling is error-prone.
 //
-// Sharding follows the paper's load-balancing scheme: the sequence is split
+// A Layout is the row partition: which global positions each CP rank owns.
+// Zigzag builds the paper's load-balancing scheme — the sequence is split
 // into 2×cp chunks and rank i owns chunks i and 2×cp−i−1, equalising causal
-// attention work across ranks. The package also provides a RingAttention
-// baseline (the TransformerEngine-style comparator of §7.2) built from the
-// attention package's partial-result merging.
+// attention work across ranks (Sharding holds that chunk arithmetic) — and
+// NewLayout accepts any planned partition. StrategyKV is the one K/V
+// exchange: it executes a per-document Plan in which every document moves by
+// the grouped all-gather of §4 or by overlap-hidden ring circulation. The
+// all-gather strategy is the all-false Plan, the ring baseline (§7.2's
+// TransformerEngine comparator, Fig 13) the all-true Plan, and the adaptive
+// strategy prices each document with the shared sim/cost model.
 package cp
 
 import (
 	"fmt"
 
 	"llama4d/internal/attention"
-	"llama4d/internal/comm"
 	"llama4d/internal/model"
 	"llama4d/internal/tensor"
 )
@@ -57,37 +61,6 @@ func (s Sharding) LocalPositions(localRank int) []int {
 	return pos
 }
 
-// LocalRows returns this rank's rows of a full-sequence tensor (copy).
-func (s Sharding) LocalRows(full *tensor.Tensor, localRank int) *tensor.Tensor {
-	pos := s.LocalPositions(localRank)
-	out := tensor.GetUninit(len(pos), full.Cols())
-	for i, p := range pos {
-		copy(out.Row(i), full.Row(p))
-	}
-	return out
-}
-
-// LocalInts selects this rank's entries of a full-sequence int slice.
-func (s Sharding) LocalInts(full []int, localRank int) []int {
-	pos := s.LocalPositions(localRank)
-	out := make([]int, len(pos))
-	for i, p := range pos {
-		out[i] = full[p]
-	}
-	return out
-}
-
-// ScatterLocal adds local rows back into their global positions of dst.
-func (s Sharding) ScatterLocal(dst, local *tensor.Tensor, localRank int) {
-	pos := s.LocalPositions(localRank)
-	for i, p := range pos {
-		di, li := dst.Row(p), local.Row(i)
-		for j := range di {
-			di[j] += li[j]
-		}
-	}
-}
-
 // CausalWorkBalanced verifies the defining property of the 2×cp sharding:
 // every rank gets the same number of causal attention pairs. Returns the
 // per-rank pair counts.
@@ -99,70 +72,92 @@ func (s Sharding) CausalWorkBalanced() []int {
 	return counts
 }
 
-// KV implements model.KVComm over a comm.Group: the all-gather-based CP
-// attention of §4. Gathered chunks are reassembled into global position
-// order, so downstream attention sees "a full K and V tensor after
-// all-gather" exactly as the paper describes.
-type KV struct {
-	Sharding Sharding
-	Group    *comm.Group
-	Rank     int // global rank
+// Layout is a CP row partition: each local rank owns a strictly increasing
+// set of global row positions, and the sets exactly partition 0..Seq-1.
+// Zigzag builds the fixed 2×cp scheme; the balance planner
+// (internal/balance.PlanShards) emits equal-size cost-balanced partitions for
+// document-masked sequences whose causal skew the zigzag scheme cannot
+// equalise, and unequal shard sizes are accepted too — the exchange
+// reassembles by per-rank row lists, not by a common chunk length.
+//
+// Bitwise contract: attention is row-independent given the gathered full
+// K/V — each query row's scores, softmax and P·V involve only that row — so
+// *which* rank computes a row never changes the row's bits. Any Layout
+// therefore produces per-row forward outputs (and dQ rows) bit-identical to
+// the dense full-sequence kernel and hence to the zigzag baseline. What a
+// layout change does regroup is the cross-rank *sum* order of dK/dV
+// contributions and of per-token loss terms.
+type Layout struct {
+	Seq int
+	Pos [][]int // Pos[lr] = global row positions owned by local rank lr
 }
 
-// GatherKV implements model.KVComm.
-func (kv *KV) GatherKV(k, v *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	return kv.gatherGlobal(k), kv.gatherGlobal(v)
-}
-
-func (kv *KV) gatherGlobal(local *tensor.Tensor) *tensor.Tensor {
-	// AllGather concatenates by local rank: rank lr's rows sit at
-	// [lr·rows, (lr+1)·rows). Permute them straight into global position
-	// order — no per-part intermediate clones.
-	rows := local.Rows()
-	gathered := kv.Group.AllGather(kv.Rank, local)
-	full := tensor.GetUninit(kv.Sharding.Seq, local.Cols())
-	for lr := 0; lr < kv.Group.Size(); lr++ {
-		pos := kv.Sharding.LocalPositions(lr)
-		for i, p := range pos {
-			copy(full.Row(p), gathered.Row(lr*rows+i))
+// NewLayout validates that pos exactly partitions 0..seq-1 with each shard
+// strictly increasing, and returns the layout. The slices are retained, not
+// copied.
+func NewLayout(seq int, pos [][]int) Layout {
+	if len(pos) == 0 {
+		panic("cp: layout needs at least one shard")
+	}
+	seen := make([]bool, seq)
+	n := 0
+	for lr, shard := range pos {
+		for i, p := range shard {
+			if p < 0 || p >= seq {
+				panic(fmt.Sprintf("cp: shard %d row %d outside [0, %d)", lr, p, seq))
+			}
+			if i > 0 && shard[i-1] >= p {
+				panic(fmt.Sprintf("cp: shard %d not strictly increasing at %d", lr, i))
+			}
+			if seen[p] {
+				panic(fmt.Sprintf("cp: row %d in two shards", p))
+			}
+			seen[p] = true
+			n++
 		}
 	}
-	tensor.Put(gathered)
-	return full
-}
-
-// ReduceKVGrad implements model.KVComm: the backward-pass reduction of the
-// full-sequence K/V gradients back to local chunks. Implemented as a
-// deterministic all-reduce followed by local selection (numerically
-// identical to a permuted reduce-scatter; the cost model accounts for the
-// reduce-scatter volume).
-func (kv *KV) ReduceKVGrad(dK, dV *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	rk := kv.Group.AllReduce(kv.Rank, dK)
-	rv := kv.Group.AllReduce(kv.Rank, dV)
-	lr := kv.Group.LocalRank(kv.Rank)
-	localDK, localDV := kv.Sharding.LocalRows(rk, lr), kv.Sharding.LocalRows(rv, lr)
-	tensor.Put(rk, rv)
-	return localDK, localDV
-}
-
-// Env builds the model environment for a CP rank: the full-sequence mask
-// (each rank computes its own mask from the entire sequence, per §4
-// "CP ranks"), this rank's global positions, and the KV hook.
-func Env(sh Sharding, mask attention.Mask, group *comm.Group, globalRank int) *model.Env {
-	return &model.Env{
-		Mask: mask,
-		QPos: sh.LocalPositions(group.LocalRank(globalRank)),
-		KV:   &KV{Sharding: sh, Group: group, Rank: globalRank},
+	if n != seq {
+		panic(fmt.Sprintf("cp: shards cover %d of %d rows", n, seq))
 	}
+	return Layout{Seq: seq, Pos: pos}
+}
+
+// Zigzag returns the paper's 2×cp load-balanced layout of seq rows over cp
+// ranks (seq must be divisible by 2·cp).
+func Zigzag(seq, cp int) Layout {
+	sh := NewSharding(seq, cp)
+	pos := make([][]int, cp)
+	for lr := range pos {
+		pos[lr] = sh.LocalPositions(lr)
+	}
+	return Layout{Seq: seq, Pos: pos}
+}
+
+// LocalPositions returns local rank lr's global row positions.
+func (l Layout) LocalPositions(lr int) []int { return l.Pos[lr] }
+
+// LocalRows returns lr's rows of a full-sequence tensor (copy).
+func (l Layout) LocalRows(full *tensor.Tensor, lr int) *tensor.Tensor {
+	return packRows(full, l.Pos[lr])
+}
+
+// LocalInts selects lr's entries of a full-sequence int slice.
+func (l Layout) LocalInts(full []int, lr int) []int {
+	pos := l.Pos[lr]
+	out := make([]int, len(pos))
+	for i, p := range pos {
+		out[i] = full[p]
+	}
+	return out
 }
 
 // LocalSample carves one rank's shard out of a full-sequence sample: local
 // tokens and targets in local row order. The document ids stay full-length —
 // the mask needs the whole sequence (§4 "Dataloaders").
-func LocalSample(sh Sharding, s *model.Sample, localRank int) *model.Sample {
+func LocalSample(l Layout, s *model.Sample, lr int) *model.Sample {
 	return &model.Sample{
-		Tokens:  sh.LocalInts(s.Tokens, localRank),
+		Tokens:  l.LocalInts(s.Tokens, lr),
 		DocIDs:  s.DocIDs, // full sequence: mask computation needs it all
-		Targets: sh.LocalInts(s.Targets, localRank),
+		Targets: l.LocalInts(s.Targets, lr),
 	}
 }

@@ -75,15 +75,21 @@ func TestNaiveContiguousShardingIsUnbalanced(t *testing.T) {
 }
 
 func TestLocalRowsAndScatterRoundTrip(t *testing.T) {
-	s := NewSharding(8, 2)
+	l := Zigzag(8, 2)
 	rng := rand.New(rand.NewSource(1))
 	full := tensor.RandN(rng, 1, 8, 3)
 	sum := tensor.New(8, 3)
 	for r := 0; r < 2; r++ {
-		s.ScatterLocal(sum, s.LocalRows(full, r), r)
+		local := l.LocalRows(full, r)
+		for i, p := range l.LocalPositions(r) {
+			di, li := sum.Row(p), local.Row(i)
+			for j := range di {
+				di[j] += li[j]
+			}
+		}
 	}
 	if !tensor.BitwiseEqual(sum, full) {
-		t.Fatal("LocalRows+ScatterLocal must reconstruct the full tensor")
+		t.Fatal("LocalRows scattered back must reconstruct the full tensor")
 	}
 }
 
@@ -96,25 +102,62 @@ func newCPWorld(cpSize int) (*comm.World, *comm.Group) {
 	return w, w.NewGroup(ranks)
 }
 
+// purePlan is the single-strategy Plan over the given document starts: the
+// all-gather of §4 when ring is false, the ring baseline when true.
+func purePlan(seq int, starts []int, ring bool) Plan {
+	p := Plan{Seq: seq, DocStarts: starts, Ring: make([]bool, len(starts))}
+	for d := range p.Ring {
+		p.Ring[d] = ring
+	}
+	return p
+}
+
+// purePlans names the two pure strategies' plans over one causal document.
+func purePlans(seq int) map[string]Plan {
+	return map[string]Plan{
+		"allgather": purePlan(seq, []int{0}, false),
+		"ring":      purePlan(seq, []int{0}, true),
+	}
+}
+
+// exchangeAttention runs one head of CP attention through kv the way the
+// model's streamed path does: score columns fill as K/V blocks arrive, and
+// the softmax and P·V finish once the exchange completes. q, k, v are the
+// rank's local rows; the gathered full K/V are returned for the backward.
+func exchangeAttention(kv *StrategyKV, q, k, v *tensor.Tensor, mask attention.Mask) (out *attention.Output, fullK, fullV *tensor.Tensor) {
+	qPos := kv.Layout.LocalPositions(kv.Group.LocalRank(kv.Rank))
+	seq := kv.SeqLen()
+	g := attention.BuildGrid(mask, qPos, 0, seq)
+	s := tensor.Get(q.Rows(), seq)
+	fullK, fullV = kv.StreamKV(k, v, func(kBlk, _ *tensor.Tensor, runs []model.PosRun) {
+		for _, run := range runs {
+			attention.StreamScores(s, q, kBlk, 0, run.Off, run.Start, run.Rows, g)
+		}
+	})
+	return attention.StreamFinish(s, fullV, mask, qPos, g, nil), fullK, fullV
+}
+
 func TestGatherKVGlobalOrder(t *testing.T) {
 	seq, cpSize := 8, 2
-	s := NewSharding(seq, cpSize)
-	_, g := newCPWorld(cpSize)
+	l := Zigzag(seq, cpSize)
 	rng := rand.New(rand.NewSource(2))
 	fullK := tensor.RandN(rng, 1, seq, 3)
 	fullV := tensor.RandN(rng, 1, seq, 3)
-	results := make([]*tensor.Tensor, cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
-		kv := &KV{Sharding: s, Group: g, Rank: rank}
-		gk, gv := kv.GatherKV(s.LocalRows(fullK, rank), s.LocalRows(fullV, rank))
-		if !tensor.BitwiseEqual(gv, fullV) {
-			panic("gathered V out of order")
-		}
-		results[rank] = gk
-	})
-	for r := 0; r < cpSize; r++ {
-		if !tensor.BitwiseEqual(results[r], fullK) {
-			t.Fatalf("rank %d gathered K differs from global order", r)
+	for name, plan := range purePlans(seq) {
+		w, g := newCPWorld(cpSize)
+		results := make([]*tensor.Tensor, cpSize)
+		comm.RunSPMD(cpSize, func(rank int) {
+			kv := NewStrategyKV(l, plan, g, w, rank, RingTagBase(0))
+			gk, gv := kv.GatherKV(l.LocalRows(fullK, rank), l.LocalRows(fullV, rank))
+			if !tensor.BitwiseEqual(gv, fullV) {
+				panic("gathered V out of order")
+			}
+			results[rank] = gk
+		})
+		for r := 0; r < cpSize; r++ {
+			if !tensor.BitwiseEqual(results[r], fullK) {
+				t.Fatalf("%s: rank %d gathered K differs from global order", name, r)
+			}
 		}
 	}
 }
@@ -140,47 +183,49 @@ func TestCPAttentionMatchesSequential(t *testing.T) {
 		wantG := model.GradientVector(layer.Params())
 
 		for _, cpSize := range []int{2, 4} {
-			s := NewSharding(seq, cpSize)
-			_, g := newCPWorld(cpSize)
-			outs := make([]*tensor.Tensor, cpSize)
-			dxs := make([]*tensor.Tensor, cpSize)
-			grads := make([]*tensor.Tensor, cpSize)
-			// Each CP rank has a replica of the layer weights.
-			replicas := make([]*model.Attention, cpSize)
-			for r := 0; r < cpSize; r++ {
-				rr := rand.New(rand.NewSource(99))
-				rep := model.NewAttention("attn", dim, nh, nkv, hd, 10000, rr)
-				for i, p := range rep.Params() {
-					copy(p.W.Data, layer.Params()[i].W.Data)
+			for planName, plan := range purePlans(seq) {
+				s := Zigzag(seq, cpSize)
+				w, g := newCPWorld(cpSize)
+				outs := make([]*tensor.Tensor, cpSize)
+				dxs := make([]*tensor.Tensor, cpSize)
+				grads := make([]*tensor.Tensor, cpSize)
+				// Each CP rank has a replica of the layer weights.
+				replicas := make([]*model.Attention, cpSize)
+				for r := 0; r < cpSize; r++ {
+					rr := rand.New(rand.NewSource(99))
+					rep := model.NewAttention("attn", dim, nh, nkv, hd, 10000, rr)
+					for i, p := range rep.Params() {
+						copy(p.W.Data, layer.Params()[i].W.Data)
+					}
+					replicas[r] = rep
 				}
-				replicas[r] = rep
-			}
-			comm.RunSPMD(cpSize, func(rank int) {
-				env := Env(s, mask, g, rank)
-				xl := s.LocalRows(x, rank)
-				dyl := s.LocalRows(dy, rank)
-				y, cc := replicas[rank].Forward(xl, env)
-				outs[rank] = y
-				dxs[rank] = replicas[rank].Backward(cc, dyl)
-				grads[rank] = model.GradientVector(replicas[rank].Params())
-			})
-			// Outputs/input-grads: local rows of the sequential result.
-			for r := 0; r < cpSize; r++ {
-				if d := tensor.MaxDiff(outs[r], s.LocalRows(want, r)); d > 1e-4 {
-					t.Fatalf("%s cp=%d rank %d fwd diff %v", name, cpSize, r, d)
+				comm.RunSPMD(cpSize, func(rank int) {
+					env := StrategyEnv(s, plan, mask, g, w, rank, RingTagBase(0))
+					xl := s.LocalRows(x, rank)
+					dyl := s.LocalRows(dy, rank)
+					y, cc := replicas[rank].Forward(xl, env)
+					outs[rank] = y
+					dxs[rank] = replicas[rank].Backward(cc, dyl)
+					grads[rank] = model.GradientVector(replicas[rank].Params())
+				})
+				// Outputs/input-grads: local rows of the sequential result.
+				for r := 0; r < cpSize; r++ {
+					if d := tensor.MaxDiff(outs[r], s.LocalRows(want, r)); d > 1e-4 {
+						t.Fatalf("%s %s cp=%d rank %d fwd diff %v", name, planName, cpSize, r, d)
+					}
+					if d := tensor.MaxDiff(dxs[r], s.LocalRows(wantDx, r)); d > 1e-4 {
+						t.Fatalf("%s %s cp=%d rank %d dx diff %v", name, planName, cpSize, r, d)
+					}
 				}
-				if d := tensor.MaxDiff(dxs[r], s.LocalRows(wantDx, r)); d > 1e-4 {
-					t.Fatalf("%s cp=%d rank %d dx diff %v", name, cpSize, r, d)
+				// Weight grads: sum over CP ranks equals sequential gradient
+				// (CP extends DP for parameter communication, §4 "Integration").
+				sum := grads[0].Clone()
+				for r := 1; r < cpSize; r++ {
+					sum.Add(grads[r])
 				}
-			}
-			// Weight grads: sum over CP ranks equals sequential gradient
-			// (CP extends DP for parameter communication, §4 "Integration").
-			sum := grads[0].Clone()
-			for r := 1; r < cpSize; r++ {
-				sum.Add(grads[r])
-			}
-			if d := tensor.MaxDiff(sum, wantG); d > 1e-3 {
-				t.Fatalf("%s cp=%d summed weight grads diff %v", name, cpSize, d)
+				if d := tensor.MaxDiff(sum, wantG); d > 1e-3 {
+					t.Fatalf("%s %s cp=%d summed weight grads diff %v", name, planName, cpSize, d)
+				}
 			}
 		}
 	}
@@ -197,8 +242,8 @@ func TestCPBlockMatchesSequential(t *testing.T) {
 	want, _ := blk.Forward(x, model.SeqEnv(seq, mask))
 
 	cpSize := 2
-	s := NewSharding(seq, cpSize)
-	_, g := newCPWorld(cpSize)
+	s := Zigzag(seq, cpSize)
+	w, g := newCPWorld(cpSize)
 	reps := make([]*model.Block, cpSize)
 	for r := 0; r < cpSize; r++ {
 		rep := model.NewBlock("b", cfg, rand.New(rand.NewSource(5)))
@@ -209,7 +254,7 @@ func TestCPBlockMatchesSequential(t *testing.T) {
 	}
 	outs := make([]*tensor.Tensor, cpSize)
 	comm.RunSPMD(cpSize, func(rank int) {
-		env := Env(s, mask, g, rank)
+		env := StrategyEnv(s, purePlan(seq, []int{0}, false), mask, g, w, rank, RingTagBase(0))
 		y, _ := reps[rank].Forward(s.LocalRows(x, rank), env)
 		outs[rank] = y
 	})
@@ -221,8 +266,8 @@ func TestCPBlockMatchesSequential(t *testing.T) {
 }
 
 func TestRingMatchesAllGatherAndSequential(t *testing.T) {
-	// Ring attention (the §7.2 baseline) must agree with both the all-gather
-	// CP attention and the sequential oracle on a single head.
+	// The ring plan (the §7.2 baseline) must agree with both the all-gather
+	// plan and the sequential oracle on a single head.
 	seq, d := 24, 8
 	rng := rand.New(rand.NewSource(6))
 	q := tensor.RandN(rng, 0.5, seq, d)
@@ -238,7 +283,7 @@ func TestRingMatchesAllGatherAndSequential(t *testing.T) {
 			if seq%(2*cpSize) != 0 {
 				continue
 			}
-			s := NewSharding(seq, cpSize)
+			s := Zigzag(seq, cpSize)
 			w, g := newCPWorld(cpSize)
 			ringOuts := make([]*tensor.Tensor, cpSize)
 			agOuts := make([]*tensor.Tensor, cpSize)
@@ -246,10 +291,12 @@ func TestRingMatchesAllGatherAndSequential(t *testing.T) {
 				ql := s.LocalRows(q, rank)
 				kl := s.LocalRows(k, rank)
 				vl := s.LocalRows(v, rank)
-				ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-				ringOuts[rank] = ring.Forward(ql, kl, vl, mask)
-				kv := &KV{Sharding: s, Group: g, Rank: rank}
-				agOuts[rank] = AllGatherAttention(kv, ql, kl, vl, mask)
+				ring := NewStrategyKV(s, purePlan(seq, []int{0}, true), g, w, rank, RingTagBase(0))
+				out, _, _ := exchangeAttention(ring, ql, kl, vl, mask)
+				ringOuts[rank] = out.O
+				ag := NewStrategyKV(s, purePlan(seq, []int{0}, false), g, w, rank, RingTagBase(1))
+				out, _, _ = exchangeAttention(ag, s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), mask)
+				agOuts[rank] = out.O
 			})
 			for r := 0; r < cpSize; r++ {
 				wantLocal := s.LocalRows(want, r)
@@ -267,7 +314,7 @@ func TestRingMatchesAllGatherAndSequential(t *testing.T) {
 func TestLocalSampleKeepsFullDocIDs(t *testing.T) {
 	gen := &data.Generator{Vocab: 32, Seq: 16, AvgDocLen: 4, Seed: 1}
 	sample := gen.Sample(0)
-	s := NewSharding(16, 2)
+	s := Zigzag(16, 2)
 	ls := LocalSample(s, sample, 1)
 	if len(ls.Tokens) != 8 || len(ls.Targets) != 8 {
 		t.Fatal("local sample must have local token/target rows")
@@ -299,14 +346,6 @@ func TestCPEndToEndModelGradients(t *testing.T) {
 	ref.Backward(ctx)
 	refG := model.GradientVector(ref.Params())
 
-	cpSize := 2
-	s := NewSharding(seq, cpSize)
-	_, g := newCPWorld(cpSize)
-	reps := make([]*model.Model, cpSize)
-	for r := 0; r < cpSize; r++ {
-		reps[r] = model.New(cfg, rand.New(rand.NewSource(8)))
-		ref.CopyWeightsTo(reps[r].Params())
-	}
 	// Count valid targets globally and locally for gradient scaling.
 	totalValid := 0
 	for _, tg := range sample.Targets {
@@ -314,37 +353,47 @@ func TestCPEndToEndModelGradients(t *testing.T) {
 			totalValid++
 		}
 	}
-	losses := make([]float64, cpSize)
-	localValid := make([]int, cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
-		ls := LocalSample(s, sample, rank)
-		valid := 0
-		for _, tg := range ls.Targets {
-			if tg >= 0 {
-				valid++
-			}
+	cpSize := 2
+	s := Zigzag(seq, cpSize)
+	for planName, plan := range purePlans(seq) {
+		w, g := newCPWorld(cpSize)
+		reps := make([]*model.Model, cpSize)
+		for r := 0; r < cpSize; r++ {
+			reps[r] = model.New(cfg, rand.New(rand.NewSource(8)))
+			ref.CopyWeightsTo(reps[r].Params())
 		}
-		localValid[rank] = valid
-		env := Env(s, mask, g, rank)
-		reps[rank].ZeroGrads()
-		scale := float32(valid) / float32(totalValid)
-		loss, cc := reps[rank].ForwardLoss(ls.Tokens, ls.Targets, env, scale)
-		reps[rank].Backward(cc)
-		losses[rank] = loss
-	})
+		losses := make([]float64, cpSize)
+		localValid := make([]int, cpSize)
+		comm.RunSPMD(cpSize, func(rank int) {
+			ls := LocalSample(s, sample, rank)
+			valid := 0
+			for _, tg := range ls.Targets {
+				if tg >= 0 {
+					valid++
+				}
+			}
+			localValid[rank] = valid
+			env := StrategyEnv(s, plan, mask, g, w, rank, RingTagBase(0))
+			reps[rank].ZeroGrads()
+			scale := float32(valid) / float32(totalValid)
+			loss, cc := reps[rank].ForwardLoss(ls.Tokens, ls.Targets, env, scale)
+			reps[rank].Backward(cc)
+			losses[rank] = loss
+		})
 
-	// Combined loss: token-weighted mean of per-rank means.
-	var combined float64
-	for r := 0; r < cpSize; r++ {
-		combined += losses[r] * float64(localValid[r]) / float64(totalValid)
-	}
-	if math.Abs(combined-refLoss) > 1e-5 {
-		t.Fatalf("combined CP loss %v != sequential %v", combined, refLoss)
-	}
-	sum := model.GradientVector(reps[0].Params())
-	sum.Add(model.GradientVector(reps[1].Params()))
-	if d := tensor.MaxDiff(sum, refG); d > 1e-3 {
-		t.Fatalf("summed CP grads differ from sequential by %v", d)
+		// Combined loss: token-weighted mean of per-rank means.
+		var combined float64
+		for r := 0; r < cpSize; r++ {
+			combined += losses[r] * float64(localValid[r]) / float64(totalValid)
+		}
+		if math.Abs(combined-refLoss) > 1e-5 {
+			t.Fatalf("%s: combined CP loss %v != sequential %v", planName, combined, refLoss)
+		}
+		sum := model.GradientVector(reps[0].Params())
+		sum.Add(model.GradientVector(reps[1].Params()))
+		if d := tensor.MaxDiff(sum, refG); d > 1e-3 {
+			t.Fatalf("%s: summed CP grads differ from sequential by %v", planName, d)
+		}
 	}
 }
 
@@ -357,11 +406,10 @@ func TestShardingValidation(t *testing.T) {
 	NewSharding(10, 4)
 }
 
-func BenchmarkAllGatherCPAttention(b *testing.B) {
+func benchCPAttention(b *testing.B, ring bool) {
 	seq, d, cpSize := 128, 32, 4
-	s := NewSharding(seq, cpSize)
+	s := Zigzag(seq, cpSize)
 	w, g := newCPWorld(cpSize)
-	_ = w
 	rng := rand.New(rand.NewSource(1))
 	q := tensor.RandN(rng, 0.5, seq, d)
 	k := tensor.RandN(rng, 0.5, seq, d)
@@ -369,33 +417,20 @@ func BenchmarkAllGatherCPAttention(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comm.RunSPMD(cpSize, func(rank int) {
-			kv := &KV{Sharding: s, Group: g, Rank: rank}
-			AllGatherAttention(kv, s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), attention.Causal{})
+			kv := NewStrategyKV(s, purePlan(seq, []int{0}, ring), g, w, rank, RingTagBase(0))
+			exchangeAttention(kv, s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), attention.Causal{})
 		})
 	}
 }
 
-func BenchmarkRingCPAttention(b *testing.B) {
-	seq, d, cpSize := 128, 32, 4
-	s := NewSharding(seq, cpSize)
-	w, g := newCPWorld(cpSize)
-	rng := rand.New(rand.NewSource(1))
-	q := tensor.RandN(rng, 0.5, seq, d)
-	k := tensor.RandN(rng, 0.5, seq, d)
-	v := tensor.RandN(rng, 0.5, seq, d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		comm.RunSPMD(cpSize, func(rank int) {
-			ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-			ring.Forward(s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), attention.Causal{})
-		})
-	}
-}
+func BenchmarkAllGatherCPAttention(b *testing.B) { benchCPAttention(b, false) }
+
+func BenchmarkRingCPAttention(b *testing.B) { benchCPAttention(b, true) }
 
 func TestRingBackwardMatchesOracle(t *testing.T) {
-	// Ring attention's backward (flash D-trick over the ring) must produce
-	// the same gradients as the naive oracle on the gathered sequence, for
-	// causal and document masks — making the TE-style baseline trainable.
+	// Backward through the ring plan — local dQ from the gathered K/V, dK/dV
+	// reduced back to their owners — must produce the same gradients as the
+	// naive oracle on the full sequence, for causal and document masks.
 	seq, d := 24, 8
 	rng := rand.New(rand.NewSource(16))
 	q := tensor.RandN(rng, 0.5, seq, d)
@@ -412,19 +447,13 @@ func TestRingBackwardMatchesOracle(t *testing.T) {
 		wantDQ, wantDK, wantDV := attention.Backward(q, k, v, out.P, dO, mask, attention.Iota(seq), 0)
 
 		for _, cpSize := range []int{2, 3} {
-			s := NewSharding(seq, cpSize)
+			s := Zigzag(seq, cpSize)
 			w, g := newCPWorld(cpSize)
 			dqs := make([]*tensor.Tensor, cpSize)
 			dks := make([]*tensor.Tensor, cpSize)
 			dvs := make([]*tensor.Tensor, cpSize)
 			comm.RunSPMD(cpSize, func(rank int) {
-				ql := s.LocalRows(q, rank)
-				kl := s.LocalRows(k, rank)
-				vl := s.LocalRows(v, rank)
-				dol := s.LocalRows(dO, rank)
-				ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-				o, lse := ring.ForwardWithStats(ql, kl, vl, mask)
-				dqs[rank], dks[rank], dvs[rank] = ring.Backward(ql, kl, vl, o, lse, dol, mask)
+				_, dqs[rank], dks[rank], dvs[rank] = ringGrads(s, g, w, rank, q, k, v, dO, mask)
 			})
 			for r := 0; r < cpSize; r++ {
 				if dd := tensor.MaxDiff(dqs[r], s.LocalRows(wantDQ, r)); dd > 1e-4 {
@@ -441,54 +470,16 @@ func TestRingBackwardMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestRingForwardWithStatsLSE(t *testing.T) {
-	// The returned log-sum-exp must match a direct computation on the
-	// gathered sequence.
-	seq, d, cpSize := 16, 4, 2
-	rng := rand.New(rand.NewSource(17))
-	q := tensor.RandN(rng, 0.5, seq, d)
-	k := tensor.RandN(rng, 0.5, seq, d)
-	v := tensor.RandN(rng, 0.5, seq, d)
-	s := NewSharding(seq, cpSize)
-	w, g := newCPWorld(cpSize)
-	mask := attention.Causal{}
-
-	// Direct LSE per row.
-	scale := 1 / math.Sqrt(float64(d))
-	want := make([]float64, seq)
-	for i := 0; i < seq; i++ {
-		maxv := math.Inf(-1)
-		var scores []float64
-		for j := 0; j <= i; j++ {
-			var dot float64
-			for c := 0; c < d; c++ {
-				dot += float64(q.At(i, c)) * float64(k.At(j, c))
-			}
-			sc := dot * scale
-			scores = append(scores, sc)
-			if sc > maxv {
-				maxv = sc
-			}
-		}
-		var sum float64
-		for _, sc := range scores {
-			sum += math.Exp(sc - maxv)
-		}
-		want[i] = maxv + math.Log(sum)
-	}
-
-	lses := make([][]float64, cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
-		ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-		_, lse := ring.ForwardWithStats(s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), mask)
-		lses[rank] = lse
-	})
-	for r := 0; r < cpSize; r++ {
-		pos := s.LocalPositions(r)
-		for i, p := range pos {
-			if math.Abs(lses[r][i]-want[p]) > 1e-4 {
-				t.Fatalf("rank %d row %d lse %v want %v", r, i, lses[r][i], want[p])
-			}
-		}
-	}
+// ringGrads runs one head forward and backward under the ring plan on one
+// CP rank: the gathered K/V feed the local backward, and the full-sequence
+// dK/dV contributions reduce back to the rank's own rows. q, k, v, dO are
+// full-sequence; the forward output and gradients are the rank's rows.
+func ringGrads(l Layout, g *comm.Group, w *comm.World, rank int, q, k, v, dO *tensor.Tensor, mask attention.Mask) (o, dQ, dK, dV *tensor.Tensor) {
+	pos := l.LocalPositions(g.LocalRank(rank))
+	kv := NewStrategyKV(l, purePlan(l.Seq, []int{0}, true), g, w, rank, RingTagBase(0))
+	ql := packRows(q, pos)
+	out, fullK, fullV := exchangeAttention(kv, ql, packRows(k, pos), packRows(v, pos), mask)
+	dQ, dKFull, dVFull := attention.Backward(ql, fullK, fullV, out.P, packRows(dO, pos), mask, pos, 0)
+	dK, dV = kv.ReduceKVGrad(dKFull, dVFull)
+	return out.O, dQ, dK, dV
 }

@@ -7,7 +7,6 @@ import (
 
 	"llama4d/internal/attention"
 	"llama4d/internal/balance"
-	"llama4d/internal/comm"
 	"llama4d/internal/tensor"
 )
 
@@ -22,16 +21,16 @@ func TestRaggedShardingValidates(t *testing.T) {
 		f()
 	}
 	// Unequal shard sizes are fine as long as the partition is exact.
-	NewRaggedSharding(6, [][]int{{0, 3, 5}, {1}, {2, 4}})
-	mustPanic("duplicate row", func() { NewRaggedSharding(4, [][]int{{0, 1}, {1, 3}}) })
-	mustPanic("missing row", func() { NewRaggedSharding(4, [][]int{{0, 1}, {3}}) })
-	mustPanic("unsorted shard", func() { NewRaggedSharding(4, [][]int{{1, 0}, {2, 3}}) })
-	mustPanic("out of range", func() { NewRaggedSharding(4, [][]int{{0, 1}, {2, 4}}) })
+	NewLayout(6, [][]int{{0, 3, 5}, {1}, {2, 4}})
+	mustPanic("duplicate row", func() { NewLayout(4, [][]int{{0, 1}, {1, 3}}) })
+	mustPanic("missing row", func() { NewLayout(4, [][]int{{0, 1}, {3}}) })
+	mustPanic("unsorted shard", func() { NewLayout(4, [][]int{{1, 0}, {2, 3}}) })
+	mustPanic("out of range", func() { NewLayout(4, [][]int{{0, 1}, {2, 4}}) })
 }
 
 func TestZigzagRaggedMatchesSharding(t *testing.T) {
 	sh := NewSharding(24, 3)
-	rs := ZigzagRagged(sh)
+	rs := Zigzag(24, 3)
 	for lr := 0; lr < 3; lr++ {
 		want := sh.LocalPositions(lr)
 		got := rs.LocalPositions(lr)
@@ -46,43 +45,48 @@ func TestZigzagRaggedMatchesSharding(t *testing.T) {
 	}
 }
 
-// TestRaggedGatherReassembles: the offset-based all-gather reconstructs the
-// full-sequence tensor bit for bit from unequal per-rank chunks, and the
-// gradient reduction returns exactly the local rows of the group all-reduce.
+// TestRaggedGatherReassembles: the exchange reconstructs the full-sequence
+// tensor bit for bit from unequal per-rank shards under both pure plans, and
+// the gradient reduction returns exactly the local rows of the group
+// all-reduce.
 func TestRaggedGatherReassembles(t *testing.T) {
 	const seq, cpSize, d = 12, 3, 4
-	rs := NewRaggedSharding(seq, [][]int{{0, 2, 4, 6, 8, 10, 11}, {1, 5}, {3, 7, 9}})
+	rs := NewLayout(seq, [][]int{{0, 2, 4, 6, 8, 10, 11}, {1, 5}, {3, 7, 9}})
 	rng := rand.New(rand.NewSource(3))
 	full := tensor.RandN(rng, 1, seq, d)
 	grads := make([]*tensor.Tensor, cpSize)
 	for r := range grads {
 		grads[r] = tensor.RandN(rng, 1, seq, d)
 	}
-	_, group := newCPWorld(cpSize)
-	comm.RunSPMD(cpSize, func(rank int) {
-		kv := &RaggedKV{Sharding: rs, Group: group, Rank: rank}
-		local := rs.LocalRows(full, rank)
-		gk, gv := kv.GatherKV(local, local)
-		for _, g := range []*tensor.Tensor{gk, gv} {
-			for i := range full.Data {
-				if math.Float32bits(g.Data[i]) != math.Float32bits(full.Data[i]) {
-					panic("gathered tensor differs from source")
+	for name, plan := range purePlans(seq) {
+		world, group := newCPWorld(cpSize)
+		if err := world.RunSPMD(func(rank int) {
+			kv := NewStrategyKV(rs, plan, group, world, rank, RingTagBase(0))
+			local := rs.LocalRows(full, rank)
+			gk, gv := kv.GatherKV(local, local)
+			for _, g := range []*tensor.Tensor{gk, gv} {
+				for i := range full.Data {
+					if math.Float32bits(g.Data[i]) != math.Float32bits(full.Data[i]) {
+						panic("gathered tensor differs from source")
+					}
 				}
 			}
-		}
-		want := rs.LocalRows(group.AllReduce(rank, grads[rank]), rank)
-		got, _ := kv.ReduceKVGrad(grads[rank], grads[rank])
-		for i := range want.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-				panic("reduced gradient rows differ from all-reduce selection")
+			want := rs.LocalRows(group.AllReduce(rank, grads[rank]), rank)
+			got, _ := kv.ReduceKVGrad(grads[rank], grads[rank])
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					panic("reduced gradient rows differ from all-reduce selection")
+				}
 			}
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	})
+	}
 }
 
-// TestRaggedBitwiseVsEvenBaseline is the satellite property test: for every
+// TestRaggedBitwiseVsEvenBaseline is the layout property test: for every
 // mask type × shard layout, each rank's attention forward rows and dQ rows
-// under a ragged sharding are Float32bits-identical to the dense
+// under a ragged layout are Float32bits-identical to the dense
 // full-sequence oracle's rows at the same positions. The even zigzag
 // baseline satisfies the same identity (it is one of the layouts), so every
 // ragged layout is bitwise identical to the even-shard baseline row for row
@@ -105,13 +109,13 @@ func TestRaggedBitwiseVsEvenBaseline(t *testing.T) {
 		"full":     attention.Full{},
 	}
 
-	layouts := map[string]RaggedSharding{
-		"zigzag": ZigzagRagged(NewSharding(seq, cpSize)),
-		"contiguous": NewRaggedSharding(seq, [][]int{
+	layouts := map[string]Layout{
+		"zigzag": Zigzag(seq, cpSize),
+		"contiguous": NewLayout(seq, [][]int{
 			iotaFrom(0, 12), iotaFrom(12, 12), iotaFrom(24, 12), iotaFrom(36, 12),
 		}),
-		"planned": NewRaggedSharding(seq, balance.PlanShards(starts, seq, cpSize)),
-		"unequal": NewRaggedSharding(seq, [][]int{
+		"planned": NewLayout(seq, balance.PlanShards(starts, seq, cpSize)),
+		"unequal": NewLayout(seq, [][]int{
 			iotaFrom(0, 20), iotaFrom(20, 4), iotaFrom(24, 15), iotaFrom(39, 9),
 		}),
 	}

@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"llama4d/internal/attention"
+	"llama4d/internal/comm"
 	"llama4d/internal/tensor"
 )
 
-// Two RingAttention instances in flight on one world used to collide: both
-// derived tags from the shared ringTagBase, so rank A's step-t block from
-// instance 1 could satisfy rank B's step-t receive of instance 2. Disjoint
-// per-instance TagBase namespaces fix that; this test runs two rings (and,
-// separately, two StrategyKV streams) concurrently per rank and checks both
-// against their sequential selves.
+// Two ring exchanges in flight on one world must not collide: each instance
+// derives its tags from its own RingTagBase namespace, so rank A's step-t
+// block from instance 1 can never satisfy rank B's step-t receive of
+// instance 2. These tests run two ring-plan exchanges concurrently per rank
+// — full streamed attention, and bare K/V assembly — and check both against
+// their sequential selves.
 
 func TestConcurrentRingsDisjointTags(t *testing.T) {
 	seq, d, cpSize := 32, 8, 4
@@ -25,16 +26,21 @@ func TestConcurrentRingsDisjointTags(t *testing.T) {
 	qb := tensor.RandN(rng, 0.5, seq, d)
 	kb := tensor.RandN(rng, 0.5, seq, d)
 	vb := tensor.RandN(rng, 0.5, seq, d)
-	s := NewSharding(seq, cpSize)
+	s := Zigzag(seq, cpSize)
+	plan := purePlan(seq, []int{0}, true)
 	mask := attention.Causal{}
+	forward := func(g *comm.Group, w *comm.World, rank, slot int, q, k, v *tensor.Tensor) *tensor.Tensor {
+		kv := NewStrategyKV(s, plan, g, w, rank, RingTagBase(slot))
+		out, _, _ := exchangeAttention(kv, s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), mask)
+		return out.O
+	}
 
 	// Sequential reference: each instance alone on its own world.
 	ref := func(q, k, v *tensor.Tensor) []*tensor.Tensor {
 		w, g := newCPWorld(cpSize)
 		outs := make([]*tensor.Tensor, cpSize)
 		if err := w.RunSPMD(func(rank int) {
-			ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-			outs[rank] = ring.Forward(s.LocalRows(q, rank), s.LocalRows(k, rank), s.LocalRows(v, rank), mask)
+			outs[rank] = forward(g, w, rank, 0, q, k, v)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -52,13 +58,11 @@ func TestConcurrentRingsDisjointTags(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank, TagBase: RingTagBase(0)}
-			gotA[rank] = ring.Forward(s.LocalRows(qa, rank), s.LocalRows(ka, rank), s.LocalRows(va, rank), mask)
+			gotA[rank] = forward(g, w, rank, 0, qa, ka, va)
 		}()
 		go func() {
 			defer wg.Done()
-			ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank, TagBase: RingTagBase(1)}
-			gotB[rank] = ring.Forward(s.LocalRows(qb, rank), s.LocalRows(kb, rank), s.LocalRows(vb, rank), mask)
+			gotB[rank] = forward(g, w, rank, 1, qb, kb, vb)
 		}()
 		wg.Wait()
 	}); err != nil {
@@ -81,8 +85,8 @@ func TestConcurrentStrategyKVDisjointTags(t *testing.T) {
 	va := tensor.RandN(rng, 0.5, seq, cols)
 	kb := tensor.RandN(rng, 0.5, seq, cols)
 	vb := tensor.RandN(rng, 0.5, seq, cols)
-	layout := NewSharding(seq, cpSize)
-	plan := Plan{Seq: seq, DocStarts: []int{0}, Ring: []bool{true}}
+	layout := Zigzag(seq, cpSize)
+	plan := purePlan(seq, []int{0}, true)
 
 	w, g := newCPWorld(cpSize)
 	if err := w.RunSPMD(func(rank int) {
@@ -103,9 +107,9 @@ func TestConcurrentStrategyKVDisjointTags(t *testing.T) {
 	}
 }
 
-// TestRingRaggedLayout drives the legacy ring comparator over arbitrary
-// ragged partitions — the generalization the two-equal-chunk `partial`
-// hard-coded away. Forward and backward must match the dense oracle.
+// TestRingRaggedLayout drives the ring plan over arbitrary ragged
+// partitions — uneven contiguous shards and maximally fragmented strided
+// ones. Forward and backward must match the dense oracle.
 func TestRingRaggedLayout(t *testing.T) {
 	seq, d, cpSize := 48, 8, 3
 	rng := rand.New(rand.NewSource(23))
@@ -133,17 +137,14 @@ func TestRingRaggedLayout(t *testing.T) {
 		out := attention.Forward(q, k, v, mask, attention.Iota(seq), 0)
 		wantDQ, wantDK, wantDV := attention.Backward(q, k, v, out.P, dO, mask, attention.Iota(seq), 0)
 		for layoutName, parts := range map[string][][]int{"contig": contig, "strided": strided} {
-			s := NewRaggedSharding(seq, parts)
+			s := NewLayout(seq, parts)
 			w, g := newCPWorld(cpSize)
 			if err := w.RunSPMD(func(rank int) {
 				pos := s.LocalPositions(rank)
-				ql, kl, vl, dol := packRows(q, pos), packRows(k, pos), packRows(v, pos), packRows(dO, pos)
-				ring := &RingAttention{Layout: s, Group: g, World: w, Rank: rank}
-				o, lse := ring.ForwardWithStats(ql, kl, vl, mask)
+				o, dq, dk, dv := ringGrads(s, g, w, rank, q, k, v, dO, mask)
 				if dd := tensor.MaxDiff(o, packRows(out.O, pos)); dd > 1e-4 {
 					panic("forward diff too large")
 				}
-				dq, dk, dv := ring.Backward(ql, kl, vl, o, lse, dol, mask)
 				if dd := tensor.MaxDiff(dq, packRows(wantDQ, pos)); dd > 1e-4 {
 					panic("dQ diff too large")
 				}

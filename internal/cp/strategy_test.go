@@ -11,8 +11,11 @@ import (
 )
 
 // The adaptive-CP bitwise property grid. For every strategy (all-gather
-// baseline, pure ring, mixed per-document plan) × shard layout (even zigzag,
-// contiguous ragged, planned ragged) × mask (causal, document) × CP size:
+// baseline, pure ring, mixed per-document plan — each a Plan executed by
+// StrategyKV) × shard layout (even zigzag, contiguous ragged, strided
+// ragged) × mask (causal, document) × CP size × attention engine (blocked,
+// where K/V stream into the score plane, and dense via SetBlocked(false),
+// where the model takes the plain GatherKV path):
 //
 //   - forward output rows are Float32bits-equal to the dense full-sequence
 //     oracle at the rank's positions (row independence: the streamed blocked
@@ -26,8 +29,8 @@ import (
 //     rank) of those dense per-rank contributions — combineSum's documented
 //     order — selected at the rank's rows;
 //   - dx (which folds dQ, dK, dV through the projections) is
-//     Float32bits-equal across every strategy for a fixed layout, so the
-//     exchange schedule is bitwise invisible end to end.
+//     Float32bits-equal across every strategy and engine for a fixed
+//     layout, so the exchange schedule is bitwise invisible end to end.
 
 const (
 	gridHeads   = 4
@@ -141,6 +144,8 @@ func docIDsOf(docs []int, seq int) []int {
 	return ids
 }
 
+func allGather(starts []int) []bool { return make([]bool, len(starts)) }
+
 func allRing(starts []int) []bool {
 	r := make([]bool, len(starts))
 	for i := range r {
@@ -158,9 +163,10 @@ func alternate(starts []int) []bool {
 }
 
 func TestStrategyBitwisePropertyGrid(t *testing.T) {
+	defer attention.SetBlocked(attention.SetBlocked(true))
 	layouts := func(seq, cpSize int) map[string]Layout {
 		m := map[string]Layout{
-			"zigzag": NewSharding(seq, cpSize),
+			"zigzag": Zigzag(seq, cpSize),
 		}
 		// Contiguous ragged with unequal shard sizes.
 		sizes := make([]int, cpSize)
@@ -180,7 +186,7 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 			parts = append(parts, p)
 			off += n
 		}
-		m["ragged"] = NewRaggedSharding(seq, parts)
+		m["ragged"] = NewLayout(seq, parts)
 		// Strided ragged: rank r owns rows ≡ r (mod cp) — maximally
 		// fragmented runs, the worst case for the run decomposition.
 		var strided [][]int
@@ -191,7 +197,7 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 			}
 			strided = append(strided, p)
 		}
-		m["strided"] = NewRaggedSharding(seq, strided)
+		m["strided"] = NewLayout(seq, strided)
 		return m
 	}
 
@@ -208,7 +214,7 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 		name   string
 		mkPlan func([]int) []bool
 	}{
-		{"allgather", nil}, // must run first: it is the cross-strategy baseline
+		{"allgather", allGather}, // must run first: it is the cross-strategy baseline
 		{"ring", allRing},
 		{"mixed", alternate},
 	}
@@ -235,64 +241,54 @@ func TestStrategyBitwisePropertyGrid(t *testing.T) {
 
 			// Per-layout baseline dx for the cross-strategy assertion.
 			var baseDX []*tensor.Tensor
-			for _, pl := range plans {
-				planName, mkPlan := pl.name, pl.mkPlan
-				name := fmt.Sprintf("seq%d_cp%d_%s_%s", tc.seq, tc.cpSize, layoutName, planName)
-				world, group := newCPWorld(tc.cpSize)
-				dxs := make([]*tensor.Tensor, tc.cpSize)
-				caps := make([]*captureKV, tc.cpSize)
-				err := world.RunSPMD(func(rank int) {
-					attn := newGridAttn()
-					env := &model.Env{Mask: mask, QPos: pos[rank]}
-					if mkPlan == nil {
-						switch l := layout.(type) {
-						case Sharding:
-							env.KV = &KV{Sharding: l, Group: group, Rank: rank}
-						case RaggedSharding:
-							env.KV = &RaggedKV{Sharding: l, Group: group, Rank: rank}
-						}
-						cap := &captureKV{inner: env.KV}
-						env.KV = cap
-						caps[rank] = cap
-					} else {
+			for _, blocked := range []bool{true, false} {
+				attention.SetBlocked(blocked)
+				for _, pl := range plans {
+					planName, mkPlan := pl.name, pl.mkPlan
+					name := fmt.Sprintf("seq%d_cp%d_%s_%s_blocked=%v", tc.seq, tc.cpSize, layoutName, planName, blocked)
+					world, group := newCPWorld(tc.cpSize)
+					dxs := make([]*tensor.Tensor, tc.cpSize)
+					caps := make([]*captureKV, tc.cpSize)
+					err := world.RunSPMD(func(rank int) {
+						attn := newGridAttn()
 						plan := Plan{Seq: tc.seq, DocStarts: starts, Ring: mkPlan(starts)}
 						skv := NewStrategyKV(layout, plan, group, world, rank, RingTagBase(0))
 						cap := &captureStream{captureKV{inner: skv}}
-						env.KV = cap
+						env := &model.Env{Mask: mask, QPos: pos[rank], KV: cap}
 						caps[rank] = &cap.captureKV
-					}
-					xl := packRows(x, pos[rank])
-					dyl := packRows(dY, pos[rank])
-					y, ctx := attn.Forward(xl, env)
-					for i, p := range pos[rank] {
-						for j := 0; j < gridDim; j++ {
-							if y.At(i, j) != oracle.y.At(p, j) {
-								panic(fmt.Sprintf("rank %d: y[%d][%d] differs from dense oracle", rank, i, j))
+						xl := packRows(x, pos[rank])
+						dyl := packRows(dY, pos[rank])
+						y, ctx := attn.Forward(xl, env)
+						for i, p := range pos[rank] {
+							for j := 0; j < gridDim; j++ {
+								if y.At(i, j) != oracle.y.At(p, j) {
+									panic(fmt.Sprintf("rank %d: y[%d][%d] differs from dense oracle", rank, i, j))
+								}
 							}
 						}
+						dxs[rank] = attn.Backward(ctx, dyl)
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					dxs[rank] = attn.Backward(ctx, dyl)
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				for rank := 0; rank < tc.cpSize; rank++ {
-					cap := caps[rank]
-					if !tensor.BitwiseEqual(cap.dK, oracle.dKs[rank]) || !tensor.BitwiseEqual(cap.dV, oracle.dVs[rank]) {
-						t.Fatalf("%s rank %d: pre-reduce dK/dV differ from masked-dY dense oracle", name, rank)
+					for rank := 0; rank < tc.cpSize; rank++ {
+						cap := caps[rank]
+						if !tensor.BitwiseEqual(cap.dK, oracle.dKs[rank]) || !tensor.BitwiseEqual(cap.dV, oracle.dVs[rank]) {
+							t.Fatalf("%s rank %d: pre-reduce dK/dV differ from masked-dY dense oracle", name, rank)
+						}
+						wantDK := foldRows(oracle.dKs, pos[rank])
+						wantDV := foldRows(oracle.dVs, pos[rank])
+						if !tensor.BitwiseEqual(cap.localDK, wantDK) || !tensor.BitwiseEqual(cap.localDV, wantDV) {
+							t.Fatalf("%s rank %d: reduced dK/dV differ from pinned-fold dense oracle", name, rank)
+						}
 					}
-					wantDK := foldRows(oracle.dKs, pos[rank])
-					wantDV := foldRows(oracle.dVs, pos[rank])
-					if !tensor.BitwiseEqual(cap.localDK, wantDK) || !tensor.BitwiseEqual(cap.localDV, wantDV) {
-						t.Fatalf("%s rank %d: reduced dK/dV differ from pinned-fold dense oracle", name, rank)
+					if baseDX == nil {
+						baseDX = dxs
+						continue
 					}
-				}
-				if planName == "allgather" {
-					baseDX = dxs
-				} else {
 					for rank := 0; rank < tc.cpSize; rank++ {
 						if !tensor.BitwiseEqual(dxs[rank], baseDX[rank]) {
-							t.Fatalf("%s rank %d: dx differs from all-gather baseline", name, rank)
+							t.Fatalf("%s rank %d: dx differs from blocked all-gather baseline", name, rank)
 						}
 					}
 				}

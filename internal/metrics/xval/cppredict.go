@@ -67,10 +67,7 @@ func PredictCPPerRank(cl *core.Cluster, src data.Batcher, step int64) []map[stri
 			m[key] = v
 		}
 		for _, s := range src.DPBatch(step, cfg.GBS, cfg.Topo.DP, r.Coord.DP) {
-			var layout cp.Layout = cp.NewSharding(cfg.Seq, n)
-			if cfg.ShardPlanner != nil {
-				layout = cp.NewRaggedSharding(cfg.Seq, cfg.ShardPlanner(s, n))
-			}
+			layout := cfg.CPLayout(s)
 			plan := cp.PlanFor(cfg.CPStrategy, cfg.CPCostModel(), ranks, cfg.Seq,
 				s.DocIDs, cfg.UseDocMask, nHl, nKVl, hd)
 			ringRows := make([]int64, n)

@@ -15,7 +15,6 @@ import (
 	"llama4d/internal/attention"
 	"llama4d/internal/comm"
 	"llama4d/internal/core"
-	"llama4d/internal/cp"
 	"llama4d/internal/data"
 	"llama4d/internal/metrics"
 	"llama4d/internal/model"
@@ -121,19 +120,13 @@ func PredictAttentionPerRank(cl *core.Cluster, src data.Batcher, step int64) []R
 		// per layer during the backward replay.
 		replay = 1
 	}
+	seqPos := attention.Iota(cfg.Seq)
 	out := make([]RankAttn, len(cl.Ranks))
 	for _, r := range cl.Ranks {
 		// Layers this rank owns, summed over its virtual stages.
 		Lr := 0
 		for vs := 0; vs < cl.Sched.V; vs++ {
 			Lr += counts[cl.Sched.GlobalStage(r.Coord.PP, vs)]
-		}
-		var evenQPos []int
-		if cfg.Topo.CP > 1 {
-			sh := cp.NewSharding(cfg.Seq, cfg.Topo.CP)
-			evenQPos = sh.LocalPositions(r.Groups.CP.LocalRank(r.ID))
-		} else {
-			evenQPos = attention.Iota(cfg.Seq)
 		}
 		fwdCalls := int64(nHl * Lr * (1 + replay))
 		bwdCalls := int64(nHl * Lr)
@@ -143,9 +136,9 @@ func PredictAttentionPerRank(cl *core.Cluster, src data.Batcher, step int64) []R
 			if cfg.UseDocMask {
 				mask = attention.Document{DocID: s.DocIDs}
 			}
-			qPos := evenQPos
-			if cfg.ShardPlanner != nil && cfg.Topo.CP > 1 {
-				qPos = cfg.ShardPlanner(s, cfg.Topo.CP)[r.Groups.CP.LocalRank(r.ID)]
+			qPos := seqPos
+			if cfg.Topo.CP > 1 {
+				qPos = cfg.CPLayout(s).LocalPositions(r.Groups.CP.LocalRank(r.ID))
 			}
 			g := attention.BuildGrid(mask, qPos, 0, cfg.Seq)
 			out[r.ID].Stats = out[r.ID].Stats.Add(g.Summary().Scale(fwdCalls + bwdCalls))

@@ -96,10 +96,10 @@ func (a *Attention) Forward(x *tensor.Tensor, env *Env) (*tensor.Tensor, any) {
 
 	if env.KV != nil {
 		if ks, ok := env.KV.(KVStreamer); ok && attention.BlockedEnabled() {
-			// Ring/adaptive context parallelism: stream score columns as
-			// K/V blocks arrive, hiding each block's transfer behind the
-			// previous block's compute. Bitwise identical to gather-then-
-			// attend (attention.StreamScores/StreamFinish).
+			// Context parallelism: stream score columns as K/V blocks
+			// arrive, hiding each ring block's transfer behind the previous
+			// block's compute. Bitwise identical to gather-then-attend
+			// (attention.StreamScores/StreamFinish).
 			return a.forwardStreamed(x, q, k, v, ks, env, ctx)
 		}
 		// Context parallelism: all-gather the full-sequence K/V (§4).

@@ -120,10 +120,6 @@ func (a *AdamW) Step(id int, w, g []float32) {
 	}
 }
 
-// StateBytesPerParam returns the optimizer-state footprint per parameter in
-// bytes (two FP32 moments for AdamW) — the quantity ZeRO-1 shards.
-func (a *AdamW) StateBytesPerParam() int { return 8 }
-
 // SaveState writes the optimizer's step counter and moment buffers. Each
 // rank persists its own (sharded) state, exactly as production sharded
 // optimizer checkpoints do.

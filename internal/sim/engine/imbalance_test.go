@@ -84,7 +84,7 @@ func TestShardSkewPlannedBeatsZigzag(t *testing.T) {
 	const seq, cpSize = 64, 4
 	docIDs := attention.DocIDsFromLengths([]int{48, 4, 4, 4, 4}, seq)
 	starts := attention.DocStarts(docIDs)
-	zig := cp.ZigzagRagged(cp.NewSharding(seq, cpSize))
+	zig := cp.Zigzag(seq, cpSize)
 	zr := ShardSkew(zig.Pos, starts, seq)
 	pl := ShardSkew(balance.PlanShards(starts, seq, cpSize), starts, seq)
 	if pl >= zr {
