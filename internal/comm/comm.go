@@ -100,7 +100,7 @@ type abortCause struct{ err error }
 // a failure observe it instead of waiting forever on a peer that will never
 // arrive. World.RunSPMD recovers these and returns the abort cause.
 type AbortError struct {
-	Rank int   // rank that observed the abort
+	Rank int    // rank that observed the abort
 	Op   string // operation it was blocked in
 	Err  error  // the abort cause (e.g. *RankPanicError, *DeadlineError)
 }

@@ -278,7 +278,7 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if err := got.LoadState(bytes.NewReader([]byte("garbagegarbagegarbage"+
+	if err := got.LoadState(bytes.NewReader([]byte("garbagegarbagegarbage" +
 		"garbagegarbagegarbagegarbage"))); err == nil {
 		t.Fatal("bad magic must be rejected")
 	}

@@ -33,27 +33,46 @@ func roleOf(ranks []int, global, hostSize int) commRole {
 	if hostSize <= 0 {
 		return ro
 	}
-	firstOf := make(map[int]int, len(ranks)) // host id -> leader's local rank
-	sizeOf := make(map[int]int, len(ranks))  // host id -> member count
-	myHost, myLR := -1, -1
+	myHost, myLR, firstLR := global/hostSize, -1, -1
 	for lr, r := range ranks {
-		h := r / hostSize
-		if _, ok := firstOf[h]; !ok {
-			firstOf[h] = lr
+		if r/hostSize == myHost {
+			if firstLR < 0 {
+				firstLR = lr
+			}
+			ro.m++
 		}
-		sizeOf[h]++
 		if r == global {
-			myHost, myLR = h, lr
+			myLR = lr
 		}
 	}
-	if myHost < 0 {
+	if myLR < 0 {
 		panic("xval: rank not in group")
 	}
-	ro.m = int64(sizeOf[myHost])
-	ro.H = int64(len(sizeOf))
-	ro.leader = firstOf[myHost] == myLR
+	ro.H = hostCount(ranks, hostSize)
+	ro.leader = firstLR == myLR
 	ro.tiered = ro.H > 1 && ro.H < ro.n
 	return ro
+}
+
+// hostCount is the number of distinct hosts a group's ranks live on. Every
+// group the predictor builds lists its ranks in ascending order, where a
+// host's members are contiguous and one pass counts the host changes; any
+// other order counts distinct hosts in a set.
+func hostCount(ranks []int, hostSize int) int64 {
+	var n int64
+	for i, r := range ranks {
+		if i > 0 && r < ranks[i-1] {
+			seen := make(map[int]bool, len(ranks))
+			for _, r := range ranks {
+				seen[r/hostSize] = true
+			}
+			return int64(len(seen))
+		}
+		if i == 0 || r/hostSize != ranks[i-1]/hostSize {
+			n++
+		}
+	}
+	return n
 }
 
 // tierBytes is the closed-form per-rank issue volume of one hierarchical

@@ -110,10 +110,11 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 		Overlapped: make(map[string]metrics.OpVolume),
 	}
 	addTo := func(dst map[string]metrics.OpVolume, group, op string, bytesPerMsg, msgs int64) {
-		v := dst[group+"/"+op]
+		k := group + "/" + op
+		v := dst[k]
 		v.Bytes += bytesPerMsg * msgs
 		v.Msgs += msgs
-		dst[group+"/"+op] = v
+		dst[k] = v
 	}
 	add := func(group, op string, bytesPerMsg, msgs int64) {
 		addTo(rp.Comm, group, op, bytesPerMsg, msgs)
@@ -179,21 +180,31 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 	}
 	// FSDP state is partitioned into per-unit shards (embed, blocks, head);
 	// each unit runs its own collectives, so volumes — including the
-	// per-unit truncating division — are summed per unit.
-	unitLens := rv.shardLens
+	// per-unit truncating division — are summed per unit. Units of equal
+	// shard length issue identical collectives, so each run of them is
+	// issued once with its message count scaled by the run length.
+	type unitRun struct{ shard, n int64 } // n consecutive units of one shard length
+	var units []unitRun
+	for _, sl := range rv.shardLens {
+		if k := len(units) - 1; k >= 0 && units[k].shard == int64(sl) {
+			units[k].n++
+		} else {
+			units = append(units, unitRun{int64(sl), 1})
+		}
+	}
 	p2p := 4 * mbs * R * dim // one packed micro-batch activation message
 	// Pipeline P2P: pre-posted recvs / async sends when Overlap.P2P > 0;
 	// classified by the peer's host either way.
-	addP2P := func(op string, peer int) {
-		addTo(rp.Comm, "p2p", op, p2p, 1)
+	addP2P := func(op string, peer int, msgs int64) {
+		addTo(rp.Comm, "p2p", op, p2p, msgs)
 		if cfg.Overlap.P2P > 0 {
-			addTo(rp.Overlapped, "p2p", op, p2p, 1)
+			addTo(rp.Overlapped, "p2p", op, p2p, msgs)
 		}
-		tier([]int{rv.id, peer}, p2p)
+		tier([]int{rv.id, peer}, p2p*msgs)
 		if spans([]int{rv.id, peer}) {
-			rp.P2PInterBytes += p2p
+			rp.P2PInterBytes += p2p * msgs
 		} else {
-			rp.P2PIntraBytes += p2p
+			rp.P2PIntraBytes += p2p * msgs
 		}
 	}
 	ppPeer := func(g int) int { return rv.ppRanks[g%len(rv.ppRanks)] }
@@ -237,100 +248,111 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 		tier([]int{rv.id, ringPrev}, blk*msgs)
 	}
 
+	// Every micro-batch of one (virtual stage, direction) issues the same
+	// collectives, P2P and FLOPs, so the rank's ops are tallied per
+	// (stage, kind) and each stage is issued once, its message counts and
+	// micro-batch samples scaled by the tally. All volumes are integer
+	// sums, so this equals issuing op by op.
 	lr := rv.pp
+	tally := make([][2]int64, sched.V) // [local stage][pp.Fwd, pp.Bwd]
 	for _, op := range sched.Ranks[lr] {
-		g := sched.GlobalStage(lr, op.Stage)
+		tally[op.Stage][op.Kind]++
+	}
+	for vs, ops := range tally {
+		g := sched.GlobalStage(lr, vs)
 		L := int64(counts[g])
-		switch op.Kind {
-		case pp.Fwd:
+		if n := ops[pp.Fwd]; n > 0 {
+			nm := n * mbs // samples through this stage's forwards
 			if tp > 1 {
 				// Wo and W2 row-parallel forward all-reduces (§5.2's
 				// "four communications per layer", forward half).
-				addC(&rv.tp, "allreduce", R*dim, 2*L*mbs)
+				addC(&rv.tp, "allreduce", R*dim, 2*L*nm)
 				if g == 0 {
-					addC(&rv.tp, "allreduce", R*dim, mbs) // vocab-parallel embed
+					addC(&rv.tp, "allreduce", R*dim, nm) // vocab-parallel embed
 				}
 				if g == lastG {
 					// Distributed softmax: max, exp-sum, target-prob.
-					addF(nil, &rv.tp, "allreducemax", allReduceBytes(R, tp), mbs)
-					addC(&rv.tp, "allreduce", R, 2*mbs)
+					addF(nil, &rv.tp, "allreducemax", allReduceBytes(R, tp), nm)
+					addC(&rv.tp, "allreduce", R, 2*nm)
 				}
 			}
 			if cpN > 1 {
 				if cpRing {
-					addRing(L * mbs) // circulate K and V, one exchange per layer
+					addRing(L * nm) // circulate K and V, one exchange per layer
 				} else {
-					addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs) // gather K and V
+					addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*nm) // gather K and V
 				}
 			}
 			if g > 0 {
-				addP2P("recv", ppPeer(g-1))
+				addP2P("recv", ppPeer(g-1), n)
 			}
 			if g < lastG {
-				addP2P("send", ppPeer(g+1))
+				addP2P("send", ppPeer(g+1), n)
 			}
-			rp.FLOPs += mbs * L * blkFwd
+			rp.FLOPs += nm * L * blkFwd
 			if g == lastG {
-				rp.FLOPs += mbs * headFwd
+				rp.FLOPs += nm * headFwd
 			}
+		}
 
-		case pp.Bwd:
+		if n := ops[pp.Bwd]; n > 0 {
+			nm := n * mbs
 			if tp > 1 {
 				// Wq/Wk/Wv and W1/W3 column-parallel dx all-reduces.
-				addC(&rv.tp, "allreduce", R*dim, 5*L*mbs)
+				addC(&rv.tp, "allreduce", R*dim, 5*L*nm)
 				if g == lastG {
-					addC(&rv.tp, "allreduce", R*dim, mbs) // head dn
+					addC(&rv.tp, "allreduce", R*dim, nm) // head dn
 				}
 			}
 			if cpN > 1 {
-				addC(&rv.cp, "allreduce", S*nKVl*hd, 2*L*mbs) // reduce dK, dV
+				addC(&rv.cp, "allreduce", S*nKVl*hd, 2*L*nm) // reduce dK, dV
 			}
 			// Recompute replay re-issues the forward's collectives.
 			switch cfg.Recompute {
 			case model.RecomputeFull:
 				if tp > 1 {
-					addC(&rv.tp, "allreduce", R*dim, 2*L*mbs)
+					addC(&rv.tp, "allreduce", R*dim, 2*L*nm)
 				}
 				if cpN > 1 {
 					if cpRing {
-						addRing(L * mbs)
+						addRing(L * nm)
 					} else {
-						addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs)
+						addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*nm)
 					}
 				}
 			case model.RecomputeSelective:
 				if tp > 1 {
-					addC(&rv.tp, "allreduce", R*dim, L*mbs)
+					addC(&rv.tp, "allreduce", R*dim, L*nm)
 				}
 				if cpN > 1 {
 					if cpRing {
-						addRing(L * mbs)
+						addRing(L * nm)
 					} else {
-						addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*mbs)
+						addC(&rv.cp, "allgather", R*nKVl*hd, 2*L*nm)
 					}
 				}
 			}
 			if g < lastG {
-				addP2P("recv", ppPeer(g+1))
+				addP2P("recv", ppPeer(g+1), n)
 			}
 			if g > 0 {
-				addP2P("send", ppPeer(g-1))
+				addP2P("send", ppPeer(g-1), n)
 			}
 			if cfg.ZeRO == fsdp.ZeRO2 {
 				// Per-backward gradient reduce-scatter, one per unit
 				// (Fig 4c); overlapped behind subsequent compute when
 				// Overlap.Grads (nonblocking issues stay flat-keyed).
-				for _, sl := range unitLens {
+				for _, u := range units {
 					if cfg.Overlap.Grads {
-						addF(rp.Overlapped, &rv.fsdp, "reducescatter", reduceScatterBytes(int64(sl)*fs, fs), 1)
+						addF(rp.Overlapped, &rv.fsdp, "reducescatter", reduceScatterBytes(u.shard*fs, fs), n*u.n)
 					} else {
-						addC(&rv.fsdp, "reducescatter", int64(sl)*fs, 1)
+						addC(&rv.fsdp, "reducescatter", u.shard*fs, n*u.n)
 					}
 				}
 			}
-			rp.FLOPs += mbs * L * (2*blkFwd + replay)
+			rp.FLOPs += nm * L * (2*blkFwd + replay)
 			if g == lastG {
-				rp.FLOPs += mbs * 2 * headFwd
+				rp.FLOPs += nm * 2 * headFwd
 			}
 		}
 	}
@@ -340,14 +362,14 @@ func predictRank(cfg core.Config, sched *pp.Schedule, counts []int, rv rankView,
 	// re-gather of released parameters at the start of every steady-state
 	// step, which the prefetch engine issues nonblocking when
 	// Overlap.Params > 0.
-	for _, sl := range unitLens {
-		addC(&rv.fsdp, "reducescatter", int64(sl)*fs, 1)
-		addC(&rv.fsdp, "allgather", int64(sl), 1)
+	for _, u := range units {
+		addC(&rv.fsdp, "reducescatter", u.shard*fs, u.n)
+		addC(&rv.fsdp, "allgather", u.shard, u.n)
 		if cfg.ZeRO == fsdp.ZeRO3 && steadyState {
 			if cfg.Overlap.Params > 0 {
-				addF(rp.Overlapped, &rv.fsdp, "allgather", allGatherBytes(int64(sl), fs), 1)
+				addF(rp.Overlapped, &rv.fsdp, "allgather", allGatherBytes(u.shard, fs), u.n)
 			} else {
-				addC(&rv.fsdp, "allgather", int64(sl), 1)
+				addC(&rv.fsdp, "allgather", u.shard, u.n)
 			}
 		}
 	}

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"llama4d/internal/core"
+	"llama4d/internal/fsdp"
+	"llama4d/internal/model"
 	"llama4d/internal/pp"
 )
 
@@ -70,5 +73,41 @@ func TestConfigShardLensMatchesLiveShards(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPredictRankAllocsIndependentOfNMB pins the per-stage tally: a rank's
+// prediction issues each (stage, direction) once, scaled by its
+// micro-batch count, so 4 and 64 micro-batches allocate the same number of
+// objects.
+func TestPredictRankAllocsIndependentOfNMB(t *testing.T) {
+	allocs := func(nmb int) float64 {
+		cfg := core.Config{
+			Model: sweepModel(), Topo: core.Topology{TP: 2, CP: 2, PP: 2, DP: 2},
+			V: 2, NMB: nmb, NC: 2, GBS: 2 * nmb, Seq: 16,
+			ZeRO: fsdp.ZeRO2, Recompute: model.RecomputeSelective, HostSize: 4,
+			Overlap: core.OverlapConfig{Params: 2, P2P: 2},
+		}
+		return testing.AllocsPerRun(5, func() { PredictRank(cfg, 5, true) })
+	}
+	if a4, a64 := allocs(4), allocs(64); a4 != a64 {
+		t.Fatalf("PredictRank allocates %v objects at NMB 4, %v at NMB 64", a4, a64)
+	}
+}
+
+// TestRoleOfAnyOrder pins the host count of unordered groups: the one-pass
+// count of ascending groups and the set count of any other order agree,
+// and leadership follows local-rank order.
+func TestRoleOfAnyOrder(t *testing.T) {
+	asc := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	desc := []int{7, 6, 5, 4, 3, 2, 1, 0}
+	for _, g := range asc {
+		a, d := roleOf(asc, g, 3), roleOf(desc, g, 3)
+		if a.n != 8 || a.H != 3 || d.H != 3 || a.m != d.m || !a.tiered || !d.tiered {
+			t.Fatalf("rank %d: ascending %+v, descending %+v", g, a, d)
+		}
+		if a.leader != (g%3 == 0) || d.leader != (g%3 == 2 || g == 7) {
+			t.Fatalf("rank %d: leaders ascending %v, descending %v", g, a.leader, d.leader)
+		}
 	}
 }

@@ -80,14 +80,14 @@ func sweepCases() []sweepCase {
 
 func (sc sweepCase) config() core.Config {
 	return core.Config{
-		Model:     sweepModel(),
-		Topo:      sc.topo,
-		V:         sc.v,
-		NMB:       sc.nmb,
-		NC:        sc.nc,
-		ZeRO:      sc.zero,
-		Balanced:  sc.balanced,
-		Recompute: sc.rec,
+		Model:      sweepModel(),
+		Topo:       sc.topo,
+		V:          sc.v,
+		NMB:        sc.nmb,
+		NC:         sc.nc,
+		ZeRO:       sc.zero,
+		Balanced:   sc.balanced,
+		Recompute:  sc.rec,
 		Seq:        16,
 		GBS:        sc.gbs,
 		LR:         0.01,

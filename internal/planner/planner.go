@@ -263,12 +263,12 @@ func (r Request) reduceScatter(ranks []int, bytes float64) float64 {
 // sched builds the candidate's pipeline schedule.
 func (c Candidate) sched() *pp.Schedule { return pp.NewFlexible(c.PP, c.V, c.NMB, c.nc()) }
 
-// memConfig is the memory-simulator view of a candidate — the same Config
-// xval.MemConfig derives from a live cluster built via r.Config(c); a test
-// pins the two against each other so the planner's memory prune can never
-// drift from what the functional layer actually allocates.
-func (r Request) memConfig(c Candidate) memsim.Config {
-	sched := c.sched()
+// memConfig is the memory-simulator view of a candidate running sched
+// (c.sched()) — the same Config xval.MemConfig derives from a live cluster
+// built via r.Config(c); a test pins the two against each other so the
+// planner's memory prune can never drift from what the functional layer
+// actually allocates.
+func (r Request) memConfig(c Candidate, sched *pp.Schedule) memsim.Config {
 	return memsim.Config{
 		Model: r.Model, TP: c.TP, CP: c.CP, DP: c.DP, Seq: r.Seq, MBS: c.MBS,
 		ZeRO: c.ZeRO, Recompute: c.Recompute, Sched: sched,
@@ -280,7 +280,12 @@ func (r Request) memConfig(c Candidate) memsim.Config {
 // would run — its actual ZeRO mode, recomputation policy, and micro-batch
 // size, not a hardcoded ZeRO-1/MBS=1 proxy.
 func (r Request) PeakMemGiB(c Candidate) float64 {
-	return memsim.MaxTotalGiB(r.memConfig(c).PerRank())
+	return r.peakMem(c, c.sched())
+}
+
+// peakMem is PeakMemGiB on an already built c.sched().
+func (r Request) peakMem(c Candidate, sched *pp.Schedule) float64 {
+	return memsim.MaxTotalGiB(r.memConfig(c, sched).PerRank())
 }
 
 // Config materialises the candidate as a runnable core.Config on this
@@ -314,16 +319,17 @@ func (p Plan) Candidate() Candidate {
 // Config materialises the plan as a runnable core.Config.
 func (p Plan) Config(r Request) core.Config { return r.Config(p.Candidate()) }
 
-// simulate prices the candidate's compute/pipeline side; the report is
-// shared across ZeRO/overlap variants, which differ only in arithmetic on
-// top of it (see price).
-func (r Request) simulate(c Candidate) (*engine.StepReport, error) {
+// simulate prices the candidate's compute/pipeline side on sched
+// (c.sched()); the report is shared across ZeRO/overlap variants, which
+// differ only in arithmetic on top of it (see price).
+func (r Request) simulate(c Candidate, sched *pp.Schedule) (*engine.StepReport, error) {
 	ts := engine.TrainSim{
 		Cost: r.Cost, Model: r.Model,
 		TP: c.TP, CP: c.CP, PP: c.PP, DP: c.DP,
 		V: c.V, NC: c.nc(), NMB: c.NMB, MBS: c.MBS,
 		Seq: r.Seq, Balanced: true,
 		Recompute: c.Recompute, HostSize: r.HostSize,
+		Schedule: sched,
 	}
 	return ts.Simulate()
 }
@@ -414,11 +420,12 @@ func (r Request) Evaluate(c Candidate) (*Plan, error) {
 	if c.NMB*c.MBS != bs {
 		return nil, fmt.Errorf("nmb·mbs %d != bs %d", c.NMB*c.MBS, bs)
 	}
-	peak := r.PeakMemGiB(c)
+	sched := c.sched()
+	peak := r.peakMem(c, sched)
 	if peak > r.HBMBudgetGiB {
 		return nil, fmt.Errorf("needs %.1f GiB > %.1f budget", peak, r.HBMBudgetGiB)
 	}
-	rep, err := r.simulate(c)
+	rep, err := r.simulate(c, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -504,9 +511,10 @@ func SearchWithStats(r Request) ([]Plan, Stats) {
 								TP: tp, CP: cp, PP: ppSize, DP: dp,
 								V: v, NMB: bs / mbs, MBS: mbs, Recompute: rec,
 							}
-							// One simulation serves every (ZeRO, overlap)
-							// variant: they differ only in pricing
-							// arithmetic on top of the report.
+							// One schedule and one simulation serve every
+							// (ZeRO, overlap) variant: they differ only in
+							// pricing arithmetic on top of the report.
+							sched := base.sched()
 							var rep *engine.StepReport
 							for _, zero := range zeroList {
 								c := base
@@ -516,13 +524,13 @@ func SearchWithStats(r Request) ([]Plan, Stats) {
 								// collectives nonblocking): prune and
 								// predict once per ZeRO mode.
 								st.Enumerated += 2
-								peak := r.PeakMemGiB(c)
+								peak := r.peakMem(c, sched)
 								if peak > r.HBMBudgetGiB {
 									st.PrunedMemory += 2
 									continue
 								}
 								if rep == nil {
-									rep, err = r.simulate(c)
+									rep, err = r.simulate(c, sched)
 									if err != nil {
 										st.PrunedShape += 2
 										continue

@@ -15,7 +15,7 @@ import (
 	"llama4d/internal/sim/cost"
 )
 
-// Production-scale searches cost ~15 s each; the golden, ordering, and
+// Production-scale searches cost seconds each; the golden, ordering, and
 // stats tests share one result per sequence length.
 var prodSearch = struct {
 	sync.Mutex
@@ -233,7 +233,7 @@ func TestMemConfigPinnedToLiveCluster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("candidate %+v does not build: %v", c, err)
 		}
-		got := r.memConfig(c)
+		got := r.memConfig(c, c.sched())
 		want := xval.MemConfig(cl)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("candidate %+v: planner memsim config %+v diverges from live cluster's %+v",

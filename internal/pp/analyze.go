@@ -54,21 +54,24 @@ type Timeline struct {
 // asynchronous P2P (§5.2): a send never blocks the sender; the receiver pays
 // Costs.P2P after the producer finishes. Returns an error on deadlock.
 func (s *Schedule) Simulate(c Costs) (*Timeline, error) {
-	type key struct {
-		kind OpKind
-		g    int // global stage
-		mb   int
+	// Finish times live in a dense table indexed by (kind, global stage,
+	// micro-batch), sized by the largest stage and micro-batch the ops
+	// name; done marks the entries already written.
+	remaining, stages, nmb := 0, s.Stages(), s.NMB
+	for r, ops := range s.Ranks {
+		remaining += len(ops)
+		for _, op := range ops {
+			stages = max(stages, s.GlobalStage(r, op.Stage)+1)
+			nmb = max(nmb, op.MB+1)
+		}
 	}
-	finish := make(map[key]float64)
+	key := func(kind OpKind, g, mb int) int { return (int(kind)*stages+g)*nmb + mb }
+	finish := make([]float64, 2*stages*nmb)
+	done := make([]bool, len(finish))
 	ptr := make([]int, s.PP)
 	rankFree := make([]float64, s.PP)
-	tl := &Timeline{Schedule: s, Busy: make([]float64, s.PP)}
+	tl := &Timeline{Schedule: s, Busy: make([]float64, s.PP), Intervals: make([]Interval, 0, remaining)}
 	lastStage := s.Stages() - 1
-
-	remaining := 0
-	for _, ops := range s.Ranks {
-		remaining += len(ops)
-	}
 	for remaining > 0 {
 		progressed := false
 		for r := 0; r < s.PP; r++ {
@@ -78,12 +81,12 @@ func (s *Schedule) Simulate(c Costs) (*Timeline, error) {
 				// Dependency ready time (−1 when not yet satisfiable).
 				ready := 0.0
 				ok := true
-				need := func(k key, xfer bool) {
-					t, done := finish[k]
-					if !done {
+				need := func(k int, xfer bool) {
+					if !done[k] {
 						ok = false
 						return
 					}
+					t := finish[k]
 					if xfer {
 						t += c.P2P
 					}
@@ -95,13 +98,13 @@ func (s *Schedule) Simulate(c Costs) (*Timeline, error) {
 				case Fwd:
 					if g > 0 {
 						prevRank, _ := s.StageOwner(g - 1)
-						need(key{Fwd, g - 1, op.MB}, prevRank != r)
+						need(key(Fwd, g-1, op.MB), prevRank != r)
 					}
 				case Bwd:
-					need(key{Fwd, g, op.MB}, false)
+					need(key(Fwd, g, op.MB), false)
 					if g < lastStage {
 						nextRank, _ := s.StageOwner(g + 1)
-						need(key{Bwd, g + 1, op.MB}, nextRank != r)
+						need(key(Bwd, g+1, op.MB), nextRank != r)
 					}
 				}
 				if !ok {
@@ -120,7 +123,8 @@ func (s *Schedule) Simulate(c Costs) (*Timeline, error) {
 					dur = c.Fwd(g)
 				}
 				end := start + dur
-				finish[key{op.Kind, g, op.MB}] = end
+				k := key(op.Kind, g, op.MB)
+				finish[k], done[k] = end, true
 				rankFree[r] = end
 				tl.Busy[r] += dur
 				tl.Intervals = append(tl.Intervals, Interval{Rank: r, Op: op, Start: start, End: end})

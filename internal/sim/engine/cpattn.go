@@ -60,6 +60,22 @@ func docStartsFor(seq int, docMask bool, avgDocLen int, seed int64) []int {
 	return attention.DocStarts(ids)
 }
 
+// causalPairs is the causal (query, key) pair count of a full n-token
+// sequence, n(n+1)/2: attention.FastCausalPairs over positions 0..n−1,
+// without materialising them.
+func causalPairs(n int) int64 { return int64(n) * int64(n+1) / 2 }
+
+// docPairs is the document-mask pair count of a full sequence whose
+// per-position document starts are docStarts: attention.FastAllowedPairs
+// over positions 0..len−1, without materialising them.
+func docPairs(docStarts []int) int64 {
+	var n int64
+	for p, s := range docStarts {
+		n += int64(p - s + 1)
+	}
+	return n
+}
+
 // rankGrids classifies each CP rank's local attention into tile grids with
 // the same BuildGridFromStarts classifier the blocked training kernels
 // dispatch through, under the 2×cp load-balanced sharding. The grids carry
@@ -104,7 +120,7 @@ func kvBytes(seq int, s AttnShape) float64 {
 // into the shape; CP groups of 2-8 sit inside one node as in §7.2's setup).
 func AllGatherCPAttention(m cost.Model, shape AttnShape, seq, cpSize int, docMask bool, avgDocLen int, seed int64) CPAttnResult {
 	ds := docStartsFor(seq, docMask, avgDocLen, seed)
-	totalPairs := attention.FastAllowedPairs(attention.Iota(seq), ds)
+	totalPairs := docPairs(ds)
 	single := m.Attention(int64(seq), int64(seq), totalPairs, int64(shape.Heads), int64(shape.HeadDim))
 
 	grids := rankGrids(seq, cpSize, ds)
@@ -135,8 +151,7 @@ func AllGatherCPAttention(m cost.Model, shape AttnShape, seq, cpSize int, docMas
 // block, plus a log-sum-exp merge per iteration. Full causal mask only, as
 // in the paper's forked TE branch.
 func RingCPAttention(m cost.Model, shape AttnShape, seq, cpSize int) CPAttnResult {
-	ds := docStartsFor(seq, false, 0, 0)
-	totalPairs := attention.FastAllowedPairs(attention.Iota(seq), ds)
+	totalPairs := causalPairs(seq)
 	single := m.Attention(int64(seq), int64(seq), totalPairs, int64(shape.Heads), int64(shape.HeadDim))
 
 	qLocal := int64(seq / cpSize)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"llama4d/internal/attention"
@@ -289,6 +290,49 @@ func TestSimulateRejectsBadShape(t *testing.T) {
 	ts.TP = 3
 	if _, err := ts.Simulate(); err == nil {
 		t.Fatal("tp=3 must be rejected for 128 heads")
+	}
+	// The zigzag CP sharding needs seq % 2cp == 0; 8192 % 6 != 0.
+	for _, cpSize := range []int{3, 0} {
+		ts := Production8K()
+		ts.CP = cpSize
+		if _, err := ts.Simulate(); err == nil {
+			t.Fatalf("cp=%d must be rejected at seq %d", cpSize, ts.Seq)
+		}
+	}
+}
+
+// allocated reports the heap objects and bytes one call of f allocates,
+// averaged over runs: testing.AllocsPerRun, extended to bytes.
+func allocated(runs int, f func()) (objs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&b)
+	return (b.Mallocs - a.Mallocs) / uint64(runs), (b.TotalAlloc - a.TotalAlloc) / uint64(runs)
+}
+
+// TestSimulateAllocsIndependentOfSeq pins the closed-form attention pair
+// count: pricing a step must not allocate per token, so 8K and 131K
+// sequences allocate the same objects and, up to runtime noise, the same
+// bytes (a position vector per stage made 136 MB of 131K against 10 MB).
+func TestSimulateAllocsIndependentOfSeq(t *testing.T) {
+	measure := func(seq int) (uint64, uint64) {
+		ts := Production128K()
+		ts.Seq = seq
+		return allocated(5, func() {
+			if _, err := ts.Simulate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	o8, b8 := measure(8192)
+	o131, b131 := measure(131072)
+	if o8 != o131 || b131 > b8+4096 {
+		t.Fatalf("Simulate allocates %d objects / %d B at seq 8K, %d / %d B at 131K", o8, b8, o131, b131)
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"llama4d/internal/attention"
 	"llama4d/internal/model"
 	"llama4d/internal/sim/cost"
 )
@@ -136,7 +135,7 @@ func (ss ServeSim) prefillSeconds() float64 {
 		m.GEMM(p, nhL*hd, d) +
 		2*m.GEMM(p, d, hL) +
 		m.GEMM(p, hL, d)
-	pairs := attention.FastCausalPairs(attention.Iota(ss.Prompt))
+	pairs := causalPairs(ss.Prompt)
 	layer += m.Attention(p, p, pairs, nhL, hd)
 	if ss.TP > 1 {
 		actBytes := 2 * float64(p) * float64(d)

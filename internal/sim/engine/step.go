@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"llama4d/internal/attention"
-	"llama4d/internal/cp"
 	"llama4d/internal/model"
 	"llama4d/internal/pp"
 	"llama4d/internal/sim/cost"
@@ -152,12 +150,18 @@ func (ts TrainSim) fsdpRanks() []int {
 
 func (ts TrainSim) ppPeerDistance() int { return ts.TP * ts.CP }
 
-// layerFwdTime returns one transformer layer's forward time for one
-// micro-batch on one GPU, including exposed TP and CP communication.
-// attnCompute is the attention-path share of compute (QKV and output
-// projections plus the attention kernel) — the portion a selective
-// recomputation replay re-executes.
-func (ts TrainSim) layerFwdTime() (compute, attnCompute, tpComm, cpComm float64) {
+// layerTimes is one transformer layer's forward time for one micro-batch on
+// one GPU, including exposed TP and CP communication. attnCompute is the
+// attention-path share of compute (QKV and output projections plus the
+// attention kernel) — the portion a selective recomputation replay
+// re-executes.
+type layerTimes struct {
+	compute, attnCompute, tpComm, cpComm float64
+}
+
+// layerFwdTime prices one layer. Every layer of every stage costs the same,
+// so Costs calls it once per configuration.
+func (ts TrainSim) layerFwdTime() (lt layerTimes) {
 	m := ts.Cost
 	cfg := ts.Model
 	mbs := int64(ts.mbs())
@@ -167,57 +171,55 @@ func (ts TrainSim) layerFwdTime() (compute, attnCompute, tpComm, cpComm float64)
 	nhL := int64(cfg.NHeads / ts.TP)
 	nkvL := int64(cfg.NKVHeads / ts.TP)
 
-	attnCompute = m.GEMM(tokens, d, (nhL+2*nkvL)*hd) + // fused q,k,v projections
+	lt.attnCompute = m.GEMM(tokens, d, (nhL+2*nkvL)*hd) + // fused q,k,v projections
 		m.GEMM(tokens, nhL*hd, d) // output projection
-	compute = attnCompute +
+	lt.compute = lt.attnCompute +
 		2*m.GEMM(tokens, d, h/int64(ts.TP)) + // gate and up
 		m.GEMM(tokens, h/int64(ts.TP), d) // down
 
 	// Attention: balanced causal sharding ⇒ totalPairs/cp per rank, per
 	// sample of the micro-batch.
-	totalPairs := attention.FastCausalPairs(attention.Iota(ts.Seq))
+	totalPairs := causalPairs(ts.Seq)
 	if ts.DocMask {
-		ds := docStartsFor(ts.Seq, true, ts.AvgDocLen, 7)
-		totalPairs = attention.FastAllowedPairs(attention.Iota(ts.Seq), ds)
+		totalPairs = docPairs(docStartsFor(ts.Seq, true, ts.AvgDocLen, 7))
 	}
 	kvTokens := mbs * int64(ts.Seq)
 	if ts.CP == 1 {
 		kvTokens = tokens
 	}
 	attn := m.Attention(tokens, kvTokens, mbs*totalPairs/int64(ts.CP), nhL, hd)
-	compute += attn
-	attnCompute += attn
+	lt.compute += attn
+	lt.attnCompute += attn
 
 	if ts.TP > 1 {
 		// Sequence-parallel TP: all-gather + reduce-scatter around each of
 		// the two TP-paired modules — four exposed collectives per layer
 		// (§5.2 "TP communication").
 		actBytes := 2 * float64(tokens) * float64(d)
-		tpComm = 2*ts.allGather(ts.tpRanks(), actBytes) + 2*ts.reduceScatter(ts.tpRanks(), actBytes)
+		lt.tpComm = 2*ts.allGather(ts.tpRanks(), actBytes) + 2*ts.reduceScatter(ts.tpRanks(), actBytes)
 	}
 	if ts.CP > 1 {
 		kvB := 2 * 2 * float64(mbs) * float64(ts.Seq) * float64(nkvL) * float64(hd)
-		cpComm = ts.allGather(ts.cpRanks(), kvB)
+		lt.cpComm = ts.allGather(ts.cpRanks(), kvB)
 	}
-	return compute, attnCompute, tpComm, cpComm
+	return lt
 }
 
 // stageTimes returns the fwd and bwd time of one micro-batch on one global
-// stage.
-func (ts TrainSim) stageTimes(sh stageShape) (fwd, bwd float64) {
+// stage whose layers each cost lt.
+func (ts TrainSim) stageTimes(sh stageShape, lt layerTimes) (fwd, bwd float64) {
 	m := ts.Cost
 	cfg := ts.Model
 	tokens := int64(ts.mbs()) * int64(ts.Seq/ts.CP)
-	compute, attnCompute, tpComm, cpComm := ts.layerFwdTime()
 
-	fwd = float64(sh.layers) * (compute + tpComm + cpComm)
+	fwd = float64(sh.layers) * (lt.compute + lt.tpComm + lt.cpComm)
 	// Backward: 2× compute, mirrored TP collectives, CP reduce-scatter.
-	bwd = float64(sh.layers) * (2*compute + tpComm + cpComm)
+	bwd = float64(sh.layers) * (2*lt.compute + lt.tpComm + lt.cpComm)
 	switch ts.Recompute {
 	case model.RecomputeFull:
-		bwd += float64(sh.layers) * compute // replay the whole forward
+		bwd += float64(sh.layers) * lt.compute // replay the whole forward
 	case model.RecomputeSelective:
-		bwd += float64(sh.layers) * attnCompute // replay the attention path
+		bwd += float64(sh.layers) * lt.attnCompute // replay the attention path
 	}
 	if sh.hasEmbed {
 		lookup := m.GEMM(tokens, 1, int64(cfg.Dim)) // memory-bound gather
@@ -235,10 +237,11 @@ func (ts TrainSim) stageTimes(sh stageShape) (fwd, bwd float64) {
 // Costs builds the pp cost model for this configuration.
 func (ts TrainSim) Costs() pp.Costs {
 	shapes := ts.stageShapes()
+	lt := ts.layerFwdTime()
 	fwd := make([]float64, len(shapes))
 	bwd := make([]float64, len(shapes))
 	for g, sh := range shapes {
-		fwd[g], bwd[g] = ts.stageTimes(sh)
+		fwd[g], bwd[g] = ts.stageTimes(sh, lt)
 	}
 	tokens := int64(ts.mbs()) * int64(ts.Seq/ts.CP)
 	// Sequence parallelism shards inter-stage activations across TP.
@@ -259,8 +262,11 @@ func (ts TrainSim) Simulate() (*StepReport, error) {
 	if ts.Model.NHeads%ts.TP != 0 || ts.Model.NKVHeads%ts.TP != 0 {
 		return nil, fmt.Errorf("engine: heads not divisible by tp=%d", ts.TP)
 	}
-	if ts.CP > 1 {
-		cp.NewSharding(ts.Seq, ts.CP) // validates divisibility
+	if ts.CP < 1 {
+		return nil, fmt.Errorf("engine: cp=%d < 1", ts.CP)
+	}
+	if ts.CP > 1 && ts.Seq%(2*ts.CP) != 0 {
+		return nil, fmt.Errorf("engine: seq %d not divisible by 2*cp=%d", ts.Seq, 2*ts.CP)
 	}
 	sched := ts.Schedule
 	if sched == nil {

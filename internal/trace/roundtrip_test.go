@@ -123,7 +123,7 @@ func FuzzChromeJSONRoundTrip(f *testing.F) {
 	f.Add(0, "compute", "F s0 mb0", "", 0.0, 1.0)
 	f.Add(3, "comm", "tp.collective", "tp", 0.1, 0.003)
 	f.Add(-1, "idle", "wait: stage", "p:p", 1e-9, 1e300)
-	f.Add(1 << 20, "fault", "crash ☠", "ft", 123.456, 0.0)
+	f.Add(1<<20, "fault", "crash ☠", "ft", 123.456, 0.0)
 	f.Fuzz(func(t *testing.T, rank int, kind, name, group string, start, dur float64) {
 		if !utf8.ValidString(kind) || !utf8.ValidString(name) || !utf8.ValidString(group) {
 			t.Skip("json replaces invalid UTF-8")
